@@ -1,19 +1,27 @@
 """Prediction-error identification of estimators and generators.
 
-Four parameterizations are supported, mirroring how much prior structure is
-assumed known:
+Every case is one :class:`Parameterization`: a template model whose
+masked entries form the parameter vector theta. The cases differ only in
+the template, its free blocks, and where the direct gain D0 comes from:
 
-* ``pred_full``    -- fully parameterized predictor (Atil, Ktil, Ctil, D0)
-* ``gen_full``     -- fully parameterized generator (A, K) with C fixed at a
-                      known/canonical value; Q estimated from residuals
-* ``pred_partial`` -- w-subsystem (A22, K22, C22, Q22) known, upper blocks
-                      and Q12 parameterized
-* ``gen_partial``  -- as pred_partial but without Q12; the direct gain D0 is
-                      estimated from one-step residuals of the w-subsystem
+=============  ====================  ==========================  ============
+case           template form         free blocks                 D0 source
+=============  ====================  ==========================  ============
+pred_full      EstimatorModel        Atil, Ktil, Ctil, D0        model
+gen_full       InnovationJointModel  A, K (C known, Q = I)       post-fit
+pred_partial   TriangularJointModel  A11, A12, K11, K12, C11,    Q12 Q22^-1
+                                     C12, Q12 (w-blocks known)
+gen_partial    TriangularJointModel  as pred_partial, no Q12     post-fit
+single_entry   TriangularJointModel  one entry of one block      Q12 Q22^-1
+=============  ====================  ==========================  ============
 
-All cases are fitted by minimizing the mean squared one-step prediction
-error of y with a quasi-Newton optimizer (finite-difference gradients,
-multi-start), with a stability barrier on the filter matrix.
+Joint templates are triangularized (projecting away feedback) and
+synthesized into a predictor. "post-fit" cases search with D0 = 0 and
+regress D0 on the w-subsystem innovations after the fit; gen_full also
+estimates Q from its one-step joint residuals. All cases are fitted by
+minimizing the mean squared one-step prediction error of y with a
+quasi-Newton optimizer (finite-difference gradients, multi-start), with a
+stability barrier on the filter matrix.
 """
 
 import warnings
@@ -24,7 +32,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import FfestError, IdentificationError
-from .estimator import compute_d0, filter_signal, synthesize
+from .estimator import filter_signal, synthesize
 from .matkernel import spectral_radius
 from .metrics import average_stats, mse, vaf_components
 from .models import (
@@ -52,19 +60,9 @@ __all__ = [
     "write_benchmark_rows_csv",
     "write_benchmark_table_csv",
     "write_benchmark_curve_csv",
-    "CASE_LABELS",
 ]
 
 CASES = ("pred_full", "gen_full", "pred_partial", "gen_partial")
-
-# conventional column labels for the summary table
-CASE_LABELS = {
-    "case0": "Case 0 optimal",
-    "pred_full": "Case 1.1 est. predictor",
-    "gen_full": "Case 1.2 est. generator",
-    "pred_partial": "Case 2.1 est. predictor",
-    "gen_partial": "Case 2.2 est. generator",
-}
 
 _STAB_LIMIT = 1.0 - 1e-6
 _STAB_PENALTY = 1e3
@@ -88,97 +86,24 @@ class OptimizerConfig:
     seed: int = 0
 
 
-def _stabilize(M):
-    """Scale M inside the stability limit; returns (M', radius excess)."""
-    if M.size == 0:
-        return M, 0.0
-    rho = spectral_radius(M)
-    if rho >= _STAB_LIMIT:
-        return M * (_STAB_LIMIT / rho), rho - _STAB_LIMIT
-    return M, 0.0
-
-
-def _take(theta, offset, shape):
-    size = int(np.prod(shape))
-    return theta[offset : offset + size].reshape(shape), offset + size
-
-
-class Parameterization:
-    """Mapping between a flat parameter vector and a predictor.
-
-    Subclasses define ``theta_dim``, ``encode``, ``decode`` and
-    ``estimator_for(theta, data) -> (EstimatorModel, penalty)``; ``data`` is
-    only consulted by generator cases (residual-based D0/Q estimates).
-    """
-
-    case: str
-    dims: Dims
-    theta_dim: int
-
-    def encode(self, model):
-        raise NotImplementedError
-
-    def decode(self, theta):
-        raise NotImplementedError
-
-    def estimator_for(self, theta, data=None):
-        raise NotImplementedError
-
-    def final_estimator(self, theta, data=None):
-        """Estimator reported after the fit; generator cases refine the
-        direct gain from data residuals here."""
-        return self.estimator_for(theta, data)[0]
-
-    def finalize_model(self, theta, data=None):
-        """Identified model for reporting; may refine noise statistics."""
-        return self.decode(theta)
-
-
-class PredFullParameterization(Parameterization):
-    """Free (Atil, Ktil, Ctil, D0)."""
-
-    case = "pred_full"
-
-    def __init__(self, dims):
-        self.dims = dims
-        n, _, _, p, q = dims
-        self.theta_dim = n * n + n * q + p * n + p * q
-
-    def encode(self, model: EstimatorModel):
-        return np.concatenate([
-            model.Atil.ravel(), model.Ktil.ravel(),
-            model.Ctil.ravel(), model.D0.ravel(),
-        ])
-
-    def decode(self, theta):
-        n, _, _, p, q = self.dims
-        o = 0
-        Atil, o = _take(theta, o, (n, n))
-        Ktil, o = _take(theta, o, (n, q))
-        Ctil, o = _take(theta, o, (p, n))
-        D0, o = _take(theta, o, (p, q))
-        return EstimatorModel(Atil=Atil, Ktil=Ktil, Ctil=Ctil, D0=D0)
-
-    def estimator_for(self, theta, data=None):
-        est = self.decode(theta)
-        Atil, excess = _stabilize(est.Atil)
-        if excess:
-            est = EstimatorModel(Atil=Atil, Ktil=est.Ktil,
-                                 Ctil=est.Ctil, D0=est.D0)
-        return est, _STAB_PENALTY * excess
+def _stable(est: EstimatorModel):
+    """Scale Atil inside the stability limit; returns (est', penalty)."""
+    if est.n == 0:
+        return est, 0.0
+    rho = spectral_radius(est.Atil)
+    if rho < _STAB_LIMIT:
+        return est, 0.0
+    return (replace(est, Atil=est.Atil * (_STAB_LIMIT / rho)),
+            _STAB_PENALTY * (rho - _STAB_LIMIT))
 
 
 def _w_innovations(t: TriangularJointModel, data: Trajectory):
     """One-step residuals e2hat(t) = w(t) - C22 xbar2(t) of the
     w-subsystem, with xbar2 driven by w through A22 - K22 C22."""
-    q = t.q
-    Aw, _ = _stabilize(t.A22 - t.K22 @ t.C22)
-    wfilt = filter_signal(
-        EstimatorModel(Atil=Aw, Ktil=t.K22, Ctil=t.C22,
-                       D0=np.zeros((q, q))),
-        data.w,
-    )
-    return data.w - wfilt
+    wfilt, _ = _stable(EstimatorModel(Atil=t.A22 - t.K22 @ t.C22,
+                                      Ktil=t.K22, Ctil=t.C22,
+                                      D0=np.zeros((t.q, t.q))))
+    return data.w - filter_signal(wfilt, data.w)
 
 
 def _postfit_d0(t: TriangularJointModel, est0: EstimatorModel,
@@ -196,173 +121,84 @@ def _postfit_d0(t: TriangularJointModel, est0: EstimatorModel,
     return sol.T
 
 
-class GenFullParameterization(Parameterization):
-    """Free (A, K) with the output map C held at a known value."""
+class Parameterization:
+    """Mapping between a flat parameter vector and a predictor.
 
-    case = "gen_full"
-
-    def __init__(self, dims, C):
-        self.dims = dims
-        n, _, _, p, q = dims
-        C = np.asarray(C, dtype=float)
-        if C.shape != (p + q, n):
-            raise ValueError(f"fixed C must be {(p + q, n)}, got {C.shape}")
-        self.C = C
-        self.theta_dim = n * n + n * (p + q)
-
-    def encode(self, model: InnovationJointModel):
-        return np.concatenate([model.A.ravel(), model.K.ravel()])
-
-    def decode(self, theta):
-        n, _, _, p, q = self.dims
-        o = 0
-        A, o = _take(theta, o, (n, n))
-        K, o = _take(theta, o, (n, p + q))
-        return InnovationJointModel(A=A, K=K, C=self.C,
-                                    Q=np.eye(p + q), p=p, q=q)
-
-    def _triangular(self, theta):
-        m = self.decode(theta)
-        return triangularize(m, p2=self.dims.p2, on_violation="project")
-
-    def estimator_for(self, theta, data=None):
-        # the decoded model has no Q12 information, so the search runs
-        # with a zero direct gain; see final_estimator
-        t = self._triangular(theta)
-        est = synthesize(t, D0=np.zeros((self.dims.p, self.dims.q)))
-        Atil, excess = _stabilize(est.Atil)
-        if excess:
-            est = EstimatorModel(Atil=Atil, Ktil=est.Ktil, Ctil=est.Ctil,
-                                 D0=est.D0)
-        return est, _STAB_PENALTY * excess
-
-    def final_estimator(self, theta, data=None):
-        if data is None:
-            return self.estimator_for(theta)[0]
-        t = self._triangular(theta)
-        est0, _ = self.estimator_for(theta)
-        D0 = _postfit_d0(t, est0, data)
-        est = synthesize(t, D0=D0)
-        Atil, _ = _stabilize(est.Atil)
-        return EstimatorModel(Atil=Atil, Ktil=est.Ktil, Ctil=est.Ctil,
-                              D0=est.D0)
-
-    def finalize_model(self, theta, data=None):
-        model = self.decode(theta)
-        if data is None:
-            return model
-        # one-step joint residuals give the innovation covariance estimate
-        F, _ = _stabilize(model.A - model.K @ model.C)
-        z = np.hstack([data.y, data.w])
-        x = np.zeros(model.n)
-        resid = np.zeros_like(z)
-        for k in range(data.N):
-            resid[k] = z[k] - model.C @ x
-            x = F @ x + model.K @ z[k]
-        burn = min(100, data.N // 10)
-        Q = np.cov(resid[burn:].T)
-        return InnovationJointModel(A=model.A, K=model.K, C=model.C,
-                                    Q=np.atleast_2d(Q), p=model.p, q=model.q)
-
-
-class PartialParameterization(Parameterization):
-    """Known w-subsystem (A22, K22, C22, Q22); upper blocks free.
-
-    ``with_q12`` adds the p*q entries of Q12 (the predictor flavour); the
-    generator flavour instead estimates D0 from data residuals.
+    ``free`` maps fields of the ``template`` model to boolean masks of the
+    entries that are free; theta lists the masked entries field by field,
+    each in row-major order, and every other entry keeps its template
+    value. ``estimator_for(theta, data) -> (EstimatorModel, penalty)`` is
+    the predictor the objective filters with.
     """
 
-    def __init__(self, dims, fixed, with_q12):
+    def __init__(self, case, dims, template, free):
+        self.case = case
         self.dims = dims
-        n, p1, p2, p, q = dims
-        required = ("A22", "K22", "C22", "Q22")
-        missing = [k for k in required if fixed is None or k not in fixed]
-        if missing:
-            raise ValueError(f"partial case is missing fixed blocks {missing}")
-        shapes = {"A22": (p2, p2), "K22": (p2, q), "C22": (q, p2),
-                  "Q22": (q, q)}
-        self.fixed = {}
-        for k in required:
-            a = np.asarray(fixed[k], dtype=float)
-            if a.shape != shapes[k]:
-                raise ValueError(f"fixed {k} must be {shapes[k]}, got {a.shape}")
-            self.fixed[k] = a
-        self.with_q12 = with_q12
-        self.case = "pred_partial" if with_q12 else "gen_partial"
-        self.theta_dim = (p1 * p1 + p1 * p2 + p1 * p + p1 * q
-                          + p * p1 + p * p2)
-        if with_q12:
-            self.theta_dim += p * q
+        self.template = template
+        self.free = free
+        sizes = [int(mask.sum()) for mask in free.values()]
+        self.theta_dim = sum(sizes)
+        self._splits = np.cumsum(sizes)[:-1]
+        # the generator cases carry no Q12; D0 is regressed after the fit
+        self._postfit = case in ("gen_full", "gen_partial")
 
-    def encode(self, model: TriangularJointModel):
-        parts = [model.A11.ravel(), model.A12.ravel(),
-                 model.K11.ravel(), model.K12.ravel(),
-                 model.C11.ravel(), model.C12.ravel()]
-        if self.with_q12:
-            parts.append(model.Q12.ravel())
-        return np.concatenate(parts)
+    def encode(self, model):
+        return np.concatenate([getattr(model, name)[mask]
+                               for name, mask in self.free.items()])
 
     def decode(self, theta):
-        n, p1, p2, p, q = self.dims
-        o = 0
-        A11, o = _take(theta, o, (p1, p1))
-        A12, o = _take(theta, o, (p1, p2))
-        K11, o = _take(theta, o, (p1, p))
-        K12, o = _take(theta, o, (p1, q))
-        C11, o = _take(theta, o, (p, p1))
-        C12, o = _take(theta, o, (p, p2))
-        if self.with_q12:
-            Q12, o = _take(theta, o, (p, q))
-        else:
-            Q12 = np.zeros((p, q))
-        return TriangularJointModel(
-            A11=A11, A12=A12, A22=self.fixed["A22"],
-            K11=K11, K12=K12, K22=self.fixed["K22"],
-            C11=C11, C12=C12, C22=self.fixed["C22"],
-            Q11=np.eye(p), Q12=Q12, Q22=self.fixed["Q22"],
-            T=np.eye(n), p1=p1, p2=p2, p=p, q=q,
-        )
+        filled = {}
+        parts = np.split(np.asarray(theta, dtype=float), self._splits)
+        for (name, mask), part in zip(self.free.items(), parts):
+            filled[name] = getattr(self.template, name).copy()
+            filled[name][mask] = part
+        return replace(self.template, **filled)
+
+    def _synthesizable(self, theta):
+        """Decoded model, triangularized if it is a joint innovation model
+        (iterates are generically not feedback-free, so project)."""
+        model = self.decode(theta)
+        if isinstance(model, InnovationJointModel):
+            model = triangularize(model, p2=self.dims.p2,
+                                  on_violation="project")
+        return model
 
     def estimator_for(self, theta, data=None):
-        t = self.decode(theta)
-        if self.with_q12:
-            D0 = compute_d0(t.Q12, t.Q22)
-        else:
-            # no Q12 in the generator flavour: search with a zero direct
-            # gain, refine post fit (final_estimator)
-            D0 = np.zeros((self.dims.p, self.dims.q))
-        est = synthesize(t, D0=D0)
-        Atil, excess = _stabilize(est.Atil)
-        if excess:
-            est = EstimatorModel(Atil=Atil, Ktil=est.Ktil, Ctil=est.Ctil,
-                                 D0=est.D0)
-        return est, _STAB_PENALTY * excess
+        model = self._synthesizable(theta)
+        if isinstance(model, TriangularJointModel):
+            D0 = (np.zeros((self.dims.p, self.dims.q)) if self._postfit
+                  else None)
+            model = synthesize(model, D0=D0)
+        return _stable(model)
 
     def final_estimator(self, theta, data=None):
-        if self.with_q12 or data is None:
-            return self.estimator_for(theta, data)[0]
-        t = self.decode(theta)
-        est0, _ = self.estimator_for(theta)
-        D0 = _postfit_d0(t, est0, data)
-        est = synthesize(t, D0=D0)
-        Atil, _ = _stabilize(est.Atil)
-        return EstimatorModel(Atil=Atil, Ktil=est.Ktil, Ctil=est.Ctil,
-                              D0=est.D0)
+        """Estimator reported after the fit; generator cases refine the
+        direct gain from data residuals here."""
+        est = self.estimator_for(theta, data)[0]
+        if not self._postfit or data is None:
+            return est
+        t = self._synthesizable(theta)
+        return _stable(synthesize(t, D0=_postfit_d0(t, est, data)))[0]
 
     def finalize_model(self, theta, data=None):
+        """Identified model for reporting; generator cases estimate the
+        noise statistics they were fitted without."""
         model = self.decode(theta)
-        if self.with_q12 or data is None:
+        if not self._postfit or data is None:
             return model
-        # embed the post-fit direct gain as Q12 = D0 Q22
-        est0, _ = self.estimator_for(theta)
-        D0 = _postfit_d0(model, est0, data)
-        return TriangularJointModel(
-            A11=model.A11, A12=model.A12, A22=model.A22,
-            K11=model.K11, K12=model.K12, K22=model.K22,
-            C11=model.C11, C12=model.C12, C22=model.C22,
-            Q11=model.Q11, Q12=D0 @ model.Q22, Q22=model.Q22,
-            T=model.T, p1=model.p1, p2=model.p2, p=model.p, q=model.q,
-        )
+        if isinstance(model, TriangularJointModel):
+            # embed the post-fit direct gain as Q12 = D0 Q22
+            D0 = _postfit_d0(model, self.estimator_for(theta)[0], data)
+            return replace(model, Q12=D0 @ model.Q22)
+        # one-step joint residuals give the innovation covariance estimate
+        r = model.p + model.q
+        joint, _ = _stable(EstimatorModel(Atil=model.A - model.K @ model.C,
+                                          Ktil=model.K, Ctil=model.C,
+                                          D0=np.zeros((r, r))))
+        z = np.hstack([data.y, data.w])
+        resid = z - filter_signal(joint, z)
+        burn = min(100, data.N // 10)
+        return replace(model, Q=np.atleast_2d(np.cov(resid[burn:].T)))
 
 
 class SingleEntryParameterization(Parameterization):
@@ -372,33 +208,26 @@ class SingleEntryParameterization(Parameterization):
     A12 as theta, everything else pinned to ``base``.
     """
 
-    case = "single_entry"
-
     def __init__(self, base: TriangularJointModel, block="A12", index=(0, 0)):
-        self.base = base
-        self.block = block
-        self.index = tuple(index)
-        self.dims = Dims(base.n, base.p1, base.p2, base.p, base.q)
-        self.theta_dim = 1
+        mask = np.zeros(getattr(base, block).shape, dtype=bool)
+        mask[tuple(index)] = True
+        dims = Dims(base.n, base.p1, base.p2, base.p, base.q)
+        super().__init__("single_entry", dims, base, {block: mask})
 
-    def encode(self, model: TriangularJointModel):
-        return np.array([getattr(model, self.block)[self.index]])
 
-    def decode(self, theta):
-        b = self.base
-        blocks = {k: getattr(b, k).copy() for k in
-                  ("A11", "A12", "A22", "K11", "K12", "K22",
-                   "C11", "C12", "C22", "Q11", "Q12", "Q22")}
-        blocks[self.block][self.index] = theta[0]
-        return TriangularJointModel(T=b.T, p1=b.p1, p2=b.p2, p=b.p, q=b.q,
-                                    **blocks)
-
-    def estimator_for(self, theta, data=None):
-        est = synthesize(self.decode(theta))
-        Atil, excess = _stabilize(est.Atil)
-        est = EstimatorModel(Atil=Atil, Ktil=est.Ktil, Ctil=est.Ctil,
-                             D0=est.D0)
-        return est, _STAB_PENALTY * excess
+def _fixed_blocks(case, fixed, shapes):
+    """The known blocks ``shapes`` names, taken from ``fixed`` and checked
+    against their exact shapes (model constructors would reshape)."""
+    missing = [k for k in shapes if fixed is None or k not in fixed]
+    if missing:
+        raise ValueError(f"{case} is missing fixed blocks {missing}")
+    blocks = {}
+    for k, shape in shapes.items():
+        blocks[k] = np.asarray(fixed[k], dtype=float)
+        if blocks[k].shape != shape:
+            raise ValueError(
+                f"fixed {k} must be {shape}, got {blocks[k].shape}")
+    return blocks
 
 
 def build_parameterization(case, dims, fixed=None):
@@ -408,19 +237,37 @@ def build_parameterization(case, dims, fixed=None):
     {"C"} for gen_full.
     """
     dims = Dims(*dims)
-    if dims.p1 + dims.p2 != dims.n:
+    n, p1, p2, p, q = dims
+    if p1 + p2 != n:
         raise ValueError(f"p1 + p2 must equal n, got {dims}")
     if case == "pred_full":
-        return PredFullParameterization(dims)
-    if case == "gen_full":
-        if fixed is None or "C" not in fixed:
-            raise ValueError("gen_full needs the fixed output map C")
-        return GenFullParameterization(dims, fixed["C"])
-    if case == "pred_partial":
-        return PartialParameterization(dims, fixed, with_q12=True)
-    if case == "gen_partial":
-        return PartialParameterization(dims, fixed, with_q12=False)
-    raise ValueError(f"unknown case {case!r}; expected one of {CASES}")
+        template = EstimatorModel(Atil=np.zeros((n, n)), Ktil=np.zeros((n, q)),
+                                  Ctil=np.zeros((p, n)), D0=np.zeros((p, q)))
+        free = ("Atil", "Ktil", "Ctil", "D0")
+    elif case == "gen_full":
+        known = _fixed_blocks(case, fixed, {"C": (p + q, n)})
+        template = InnovationJointModel(A=np.zeros((n, n)),
+                                        K=np.zeros((n, p + q)),
+                                        Q=np.eye(p + q), p=p, q=q, **known)
+        free = ("A", "K")
+    elif case in ("pred_partial", "gen_partial"):
+        known = _fixed_blocks(case, fixed, {
+            "A22": (p2, p2), "K22": (p2, q), "C22": (q, p2), "Q22": (q, q)})
+        template = TriangularJointModel(
+            A11=np.zeros((p1, p1)), A12=np.zeros((p1, p2)),
+            K11=np.zeros((p1, p)), K12=np.zeros((p1, q)),
+            C11=np.zeros((p, p1)), C12=np.zeros((p, p2)),
+            Q11=np.eye(p), Q12=np.zeros((p, q)), T=np.eye(n),
+            p1=p1, p2=p2, p=p, q=q, **known,
+        )
+        free = ("A11", "A12", "K11", "K12", "C11", "C12")
+        if case == "pred_partial":
+            free += ("Q12",)
+    else:
+        raise ValueError(f"unknown case {case!r}; expected one of {CASES}")
+    masks = {name: np.ones(getattr(template, name).shape, dtype=bool)
+             for name in free}
+    return Parameterization(case, dims, template, masks)
 
 
 def objective(par: Parameterization, theta, data: Trajectory):
@@ -587,7 +434,7 @@ class BenchmarkResult:
     theta_dims: dict
 
 
-def _aggregate(rows, cases, Ns, p):
+def _aggregate(rows, cases, Ns):
     agg = {}
     for case in cases:
         for N in Ns:
@@ -660,7 +507,7 @@ def _benchmark_cell_star(task):
 
 def benchmark(system, cases=CASES, Ns=(150, 1000), M=20, seed=0,
               opt: OptimizerConfig | None = None, N_val=1000,
-              workers=1, progress=None) -> BenchmarkResult:
+              workers=1) -> BenchmarkResult:
     """Identify every case on M independent trainings per sample size.
 
     Per repetition one training and one held-out validation trajectory are
@@ -700,12 +547,8 @@ def benchmark(system, cases=CASES, Ns=(150, 1000), M=20, seed=0,
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_benchmark_cell_star, tasks, chunksize=1))
     else:
-        rows = []
-        for task in tasks:
-            if progress:
-                progress(task[1], task[3], task[5])
-            rows.append(_benchmark_cell(*task))
-    agg = _aggregate(rows, all_cases, list(Ns), dims.p)
+        rows = [_benchmark_cell(*task) for task in tasks]
+    agg = _aggregate(rows, all_cases, list(Ns))
     return BenchmarkResult(
         system=t_true, cases=all_cases, Ns=list(Ns), M=M, seed=seed,
         rows=rows, aggregate=agg, theta_dims=theta_dims,

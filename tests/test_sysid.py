@@ -62,6 +62,18 @@ class TestParameterCounts:
         with pytest.raises(ValueError):
             build_parameterization("gen_full", TABLE_DIMS, fixed=None)
 
+    @pytest.mark.parametrize("case,block", [
+        ("pred_partial", "K22"),
+        ("gen_partial", "C22"),
+        ("gen_full", "C"),
+    ])
+    def test_transposed_fixed_block_rejected(self, case, block):
+        # right size, wrong shape: the model constructors would reshape it
+        fixed = table_fixed(case)
+        fixed[block] = fixed[block].T
+        with pytest.raises(ValueError, match=f"fixed {block} must be"):
+            build_parameterization(case, TABLE_DIMS, fixed=fixed)
+
 
 class TestEncodeDecode:
     def test_pred_full_round_trip(self):
@@ -199,6 +211,33 @@ class TestIdentify:
         # the finalized model embeds the gain as Q12 = D0 Q22
         assert np.allclose(fit.model.Q12,
                            fit.estimator.D0 @ fit.model.Q22, atol=1e-10)
+
+
+    def test_gen_full_postfit_at_true_model(self):
+        t = random_benchmark_system()
+        m = assemble(t)
+        par = build_parameterization("gen_full", TABLE_DIMS,
+                                     fixed={"C": m.C})
+        traj = simulate(m, SimConfig(N=4000, seed=0))
+        theta = par.encode(m)
+        Q = par.finalize_model(theta, traj).Q
+        # oracle: the joint innovation filter run sample by sample
+        z = np.hstack([traj.y, traj.w])
+        F = m.A - m.K @ m.C
+        assert spectral_radius(F) < 1.0
+        x = np.zeros(m.n)
+        resid = np.zeros_like(z)
+        for k in range(traj.N):
+            resid[k] = z[k] - m.C @ x
+            x = F @ x + m.K @ z[k]
+        assert np.allclose(Q, np.cov(resid[100:].T), rtol=1e-8, atol=0.0)
+        # and the true innovation covariance within 4 sampling sd's
+        var = np.diag(m.Q)
+        sd = np.sqrt((np.outer(var, var) + m.Q ** 2) / traj.N)
+        assert np.all(np.abs(Q - m.Q) <= 4.0 * sd)
+        D0_true = np.linalg.solve(t.Q22.T, t.Q12.T).T
+        est = par.final_estimator(theta, traj)
+        assert np.max(np.abs(est.D0 - D0_true)) <= 0.15
 
 
 class TestRandomBenchmarkSystem:
