@@ -3,7 +3,7 @@
 Part 1 fits a single unknown entry of the triangular transition matrix by
 prediction error. Part 2 runs the predictor-vs-generator identification
 comparison on the documented random 10-state system at reduced scale and
-writes the summary CSVs.
+prints the summary table.
 """
 
 import numpy as np
@@ -18,8 +18,6 @@ from ffest import (
     random_benchmark_system,
     simulate,
     trajectory_rng,
-    write_benchmark_curve_csv,
-    write_benchmark_table_csv,
 )
 from ffest.cli import example_triangular_model
 
@@ -54,9 +52,6 @@ def reduced_benchmark():
             continue
         print(f"  {case:>13} N={N:<5} val MSE {agg['validation_mse']:7.3f}"
               f"  mean VAF {agg['mean_vaf']:6.2f}%")
-    write_benchmark_table_csv(result, "benchmark_table.csv")
-    write_benchmark_curve_csv(result, "benchmark_curve.csv")
-    print("wrote benchmark_table.csv and benchmark_curve.csv")
 
 
 if __name__ == "__main__":

@@ -127,11 +127,9 @@ def cmd_filter(args):
         )
     traj = load_trajectory(args.trajectory)
     yhat = filter_signal(est, traj.w)
-    with open(args.output, "w") as fh:
-        fh.write(",".join(f"yhat{i+1}" for i in range(est.p)))
-        fh.write("\n")
-        for row in yhat:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    np.savetxt(args.output, yhat, fmt="%.17g", delimiter=",",
+               header=",".join(f"yhat{i+1}" for i in range(est.p)),
+               comments="")
     err = mse(traj.y, yhat)
     vaf = vaf_components(traj.y, yhat)
     print(f"MSE = {err:.6f}")

@@ -35,12 +35,7 @@ class IndefiniteCovarianceError(SolverError):
 
 
 class ConvergenceError(SolverError):
-    """An iterative solver hit its iteration cap."""
-
-    def __init__(self, message, residual=None, iterations=None):
-        super().__init__(message)
-        self.residual = residual
-        self.iterations = iterations
+    """A solver did not converge or found no stabilizing solution."""
 
 
 class FeedbackViolationError(FfestError):

@@ -73,62 +73,57 @@ def synthesize_from_joint(
     return synthesize(t)
 
 
-def _convolved_state(A, K, w):
-    """Zero-initial state path x(t) = sum_{k=1}^{t} A^(k-1) K w(t-k).
+def _state_path(A, B, u, x0=None):
+    """States x(0..N-1) of x+ = A x + B u(t), started from x0 (default 0).
 
-    Computed exactly through per-mode first-order recursions in the
-    eigenbasis (C-speed via ``lfilter``); falls back to the plain time loop
-    when A is too far from diagonalizable.
+    Computed through per-mode first-order recursions in the eigenbasis
+    (C-speed via ``lfilter``) on the one-step-shifted modal input, whose
+    first sample is the modal initial state; falls back to the plain time
+    loop when A is too far from diagonalizable.
     """
-    N = w.shape[0]
+    N = u.shape[0]
     n = A.shape[0]
     try:
         lam, W = np.linalg.eig(A)
         cond = np.linalg.cond(W)
         if np.isfinite(cond) and cond < 1e8:
-            u = w @ np.linalg.solve(W, K.astype(complex)).T
-            f = np.empty_like(u)
+            s = np.zeros((N, n), dtype=complex)
+            s[1:] = (u @ np.linalg.solve(W, B.astype(complex)).T)[:-1]
+            if x0 is not None and N:
+                s[0] = np.linalg.solve(
+                    W, np.asarray(x0, dtype=complex).reshape(n))
             for i in range(n):
-                f[:, i] = lfilter([1.0], [1.0, -lam[i]], u[:, i])
-            # the recursion output lags the driven sum by one step
-            m = np.zeros_like(u)
-            m[1:] = f[:-1]
-            return (m @ W.T).real
+                s[:, i] = lfilter([1.0], [1.0, -lam[i]], s[:, i])
+            return (s @ W.T).real
     except np.linalg.LinAlgError:
         pass
     x = np.zeros((N, n))
-    v = np.zeros(n)
+    v = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).reshape(n)
     for t in range(N):
         x[t] = v
-        v = A @ v + K @ w[t]
+        v = A @ v + B @ u[t]
     return x
 
 
 def filter_signal(e: EstimatorModel, w, x0=None):
     """Run the causal recursion xhat+ = Atil xhat + Ktil w over a signal.
 
-    Returns the N x p prediction yhat(t) = Ctil xhat(t) + D0 w(t); a
-    nonzero initial state adds the homogeneous transient.
+    Returns the N x p prediction yhat(t) = Ctil xhat(t) + D0 w(t), with
+    xhat(0) = x0 (default 0).
     """
     w = np.atleast_2d(np.asarray(w, dtype=float))
     if w.shape[1] != e.q:
         raise ValueError(f"w has {w.shape[1]} columns, estimator expects {e.q}")
-    N = w.shape[0]
     yhat = w @ e.D0.T
     if e.n:
-        yhat += _convolved_state(e.Atil, e.Ktil, w) @ e.Ctil.T
-        if x0 is not None:
-            v = np.asarray(x0, dtype=float).reshape(e.n)
-            for t in range(N):
-                yhat[t] += e.Ctil @ v
-                v = e.Atil @ v
+        yhat += _state_path(e.Atil, e.Ktil, w, x0) @ e.Ctil.T
     return yhat
 
 
 def joint_one_step_prediction(t: TriangularJointModel, traj, x0=None, D0=None):
     """Best one-step prediction of y from the joint past plus current w.
 
-    Runs the joint innovation filter x+ = A x + K (z - C x) over the stacked
+    Runs the joint innovation filter x+ = (A - K C) x + K z over the stacked
     observations z = [y; w] and returns
 
         yhat(t) = C_y x(t) + D0 (w(t) - C_w x(t)).
@@ -141,12 +136,5 @@ def joint_one_step_prediction(t: TriangularJointModel, traj, x0=None, D0=None):
     if D0 is None:
         D0 = compute_d0(t.Q12, t.Q22)
     p = t.p
-    z = np.hstack([traj.y, traj.w])
-    N = z.shape[0]
-    x = np.zeros(t.n) if x0 is None else np.asarray(x0, dtype=float).reshape(t.n)
-    yhat = np.zeros((N, p))
-    for k in range(N):
-        innov = z[k] - C @ x
-        yhat[k] = t.C11 @ x[: t.p1] + t.C12 @ x[t.p1 :] + D0 @ innov[p:]
-        x = A @ x + K @ innov
-    return yhat
+    X = _state_path(A - K @ C, K, np.hstack([traj.y, traj.w]), x0)
+    return X @ C[:p].T + (traj.w - X @ C[p:].T) @ D0.T

@@ -6,6 +6,7 @@ Reproducibility contract: the generator is numpy's PCG64 seeded through
 bit-identical trajectory out, on any platform.
 """
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,12 +84,12 @@ def simulate(model, cfg: SimConfig, rng=None) -> Trajectory:
     if rng is None:
         rng = trajectory_rng(cfg.seed)
     if isinstance(model, InnovationJointModel):
-        A, C = model.A, model.C
+        A, C, D = model.A, model.C, np.eye(model.p + model.q)
         G = model.K  # state noise enters through the gain
         L = _noise_factor(model.Q)
         state_noise_cov = model.K @ model.Q @ model.K.T
     elif isinstance(model, StateSpaceModel):
-        A, C = model.A, model.C
+        A, C, D = model.A, model.C, model.D
         G = model.B
         L = np.eye(model.m)
         state_noise_cov = model.B @ model.B.T
@@ -111,17 +112,10 @@ def simulate(model, cfg: SimConfig, rng=None) -> Trajectory:
     X = np.zeros((N, n))
     Z = np.zeros((N, model.p + model.q))
     x = x0
-    if isinstance(model, InnovationJointModel):
-        for t in range(N):
-            X[t] = x
-            Z[t] = C @ x + e[t]
-            x = A @ x + G @ e[t]
-    else:
-        D = model.D
-        for t in range(N):
-            X[t] = x
-            Z[t] = C @ x + D @ e[t]
-            x = A @ x + G @ e[t]
+    for t in range(N):
+        X[t] = x
+        Z[t] = C @ x + D @ e[t]
+        x = A @ x + G @ e[t]
 
     return Trajectory(y=Z[:, :p], w=Z[:, p:], x=X, e=e, seed=cfg.seed)
 
@@ -224,19 +218,16 @@ def save_trajectory(traj: Trajectory, path):
     cols = ["t"]
     cols += [f"y{i+1}" for i in range(traj.y.shape[1])]
     cols += [f"w{i+1}" for i in range(traj.w.shape[1])]
-    blocks = [traj.y, traj.w]
+    blocks = [np.arange(traj.N), traj.y, traj.w]
     if traj.x is not None:
         cols += [f"x{i+1}" for i in range(traj.x.shape[1])]
         blocks.append(traj.x)
     if traj.e is not None:
         cols += [f"e{i+1}" for i in range(traj.e.shape[1])]
         blocks.append(traj.e)
-    data = np.hstack(blocks)
-    with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for t in range(traj.N):
-            row = ",".join(f"{v:.17g}" for v in data[t])
-            fh.write(f"{t},{row}\n")
+    np.savetxt(path, np.column_stack(blocks), delimiter=",",
+               fmt=["%d"] + ["%.17g"] * (len(cols) - 1),
+               header=",".join(cols), comments="")
 
 
 def load_trajectory(path) -> Trajectory:
@@ -244,7 +235,6 @@ def load_trajectory(path) -> Trajectory:
 
     with open(path) as fh:
         header = fh.readline().strip().split(",")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
     if not header or header[0] != "t":
         raise ModelFormatError(f"{path}: first column must be 't'")
 
@@ -261,12 +251,16 @@ def load_trajectory(path) -> Trajectory:
     if header != expected:
         raise ModelFormatError(f"{path}: unexpected header {header}")
     try:
-        data = np.asarray([[float(v) for v in r[1:]] for r in rows])
-    except ValueError as exc:
-        raise ModelFormatError(f"{path}: non-numeric value ({exc})") from exc
-    if data.ndim != 2 or data.shape[1] != p + q + nx + ne:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # empty body
+            data = np.loadtxt(path, delimiter=",", skiprows=1,
+                              comments=None, ndmin=2)
+    except (ValueError, UserWarning) as exc:
+        raise ModelFormatError(f"{path}: non-numeric value, ragged rows or "
+                               f"no rows ({exc})") from exc
+    if data.shape[1] != len(expected):
         raise ModelFormatError(f"{path}: ragged rows")
-    o = 0
+    o = 1
     y = data[:, o : o + p]; o += p
     w = data[:, o : o + q]; o += q
     x = data[:, o : o + nx] if nx else None; o += nx

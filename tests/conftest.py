@@ -1,26 +1,15 @@
 """Shared fixtures: the 2-state worked example and derived forms."""
 
-import numpy as np
 import pytest
 
-from ffest import (
-    StateSpaceModel,
-    innovation_form_details,
-    synthesize,
-    triangularize,
-)
+from ffest import innovation_form_details, synthesize, triangularize
+from ffest.cli import _EXAMPLE_SYSTEM
 
 
 @pytest.fixture(scope="session")
 def example_system():
     """Two-state driven model whose input channel is (nearly) feedback-free."""
-    return StateSpaceModel(
-        A=np.array([[1.08, -0.23], [0.58, 0.27]]),
-        B=np.array([[-0.56, -1.4], [-0.56, -0.6]]),
-        C=np.array([[-0.25, 2.25], [1.24, -1.25]]),
-        D=np.array([[-0.14, -1.0], [0.0, -1.0]]),
-        p=1, q=1,
-    )
+    return _EXAMPLE_SYSTEM
 
 
 @pytest.fixture(scope="session")
@@ -44,25 +33,3 @@ def example_triangular(example_innovation):
 def example_estimator(example_triangular):
     return synthesize(example_triangular)
 
-
-def sign_flip_min_diff(actual, reference, n, which):
-    """Smallest max-abs deviation over the 2^n per-state sign patterns.
-
-    ``which`` maps matrix name -> (rows_flip, cols_flip) flags.
-    """
-    best = np.inf
-    for bits in range(1 << n):
-        s = np.array([1.0 if bits & (1 << i) else -1.0 for i in range(n)])
-        worst = 0.0
-        for name, ref in reference.items():
-            ref = np.atleast_2d(np.asarray(ref, dtype=float))
-            act = np.atleast_2d(np.asarray(actual[name], dtype=float))
-            rows, cols = which[name]
-            flipped = act.copy()
-            if rows:
-                flipped = s[:, None] * flipped
-            if cols:
-                flipped = flipped * s
-            worst = max(worst, float(np.max(np.abs(flipped - ref))))
-        best = min(best, worst)
-    return best

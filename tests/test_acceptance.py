@@ -16,7 +16,6 @@ from ffest import (
     OptimizerConfig,
     SimConfig,
     SingleEntryParameterization,
-    StateSpaceModel,
     TriangularJointModel,
     assemble,
     benchmark,
@@ -36,15 +35,14 @@ from ffest import (
     trajectory_rng,
     triangularize,
 )
-from ffest.cli import example_triangular_model, main
-from conftest import sign_flip_min_diff
-
-SYSTEM = StateSpaceModel(
-    A=np.array([[1.08, -0.23], [0.58, 0.27]]),
-    B=np.array([[-0.56, -1.4], [-0.56, -0.6]]),
-    C=np.array([[-0.25, 2.25], [1.24, -1.25]]),
-    D=np.array([[-0.14, -1.0], [0.0, -1.0]]),
-    p=1, q=1,
+from ffest.cli import (
+    _EXAMPLE_SYSTEM as SYSTEM,
+    _GOLDEN_CHAIN,
+    _GOLDEN_ESTIMATOR,
+    _GOLDEN_TRIANGULAR,
+    _sign_flip_diff as sign_flip_min_diff,
+    example_triangular_model,
+    main,
 )
 
 # analytic estimation-error floor of the worked example:
@@ -62,17 +60,9 @@ def test_criterion_1_golden_chain():
     start = time.perf_counter()
     res = innovation_form_details(SYSTEM)
     elapsed = time.perf_counter() - start
-    golden = {
-        "P": [[11.34, 9.22], [9.22, 7.96]],
-        "Cbar": [[17.24, 15.28], [3.79, 2.47]],
-        "Lambda0": [[31.64, 3.72], [3.72, 2.28]],
-        "Pi": [[11.1, 8.98], [8.98, 7.71]],
-        "Delta": [[2.0, 1.0], [1.0, 1.0]],
-        "K": [[0.5, 0.9], [0.49, 0.11]],
-    }
     actual = {"P": res.P, "Cbar": res.Cbar, "Lambda0": res.Lambda0,
               "Pi": res.Pi, "Delta": res.Delta, "K": res.K}
-    for name, ref in golden.items():
+    for name, ref in _GOLDEN_CHAIN.items():
         assert np.max(np.abs(actual[name] - np.asarray(ref))) <= 0.02, name
     assert elapsed < 1.0
 
@@ -81,11 +71,7 @@ def test_criterion_2_triangular_form():
     t = example_triangular()
     diff = sign_flip_min_diff(
         {"A": t.A, "K": t.K, "C": t.C},
-        {
-            "A": [[0.85, 0.81], [0.0, 0.5]],
-            "K": [[-0.70, -0.71], [0.0, -0.56]],
-            "C": [[-1.41, 1.77], [0.0, -1.76]],
-        },
+        _GOLDEN_TRIANGULAR,
         n=2,
         which={"A": (True, True), "K": (True, False), "C": (False, True)},
     )
@@ -126,12 +112,7 @@ def test_criterion_3_estimator():
     diff = sign_flip_min_diff(
         {"Atil": est.Atil, "Ktil": est.Ktil, "Ctil": est.Ctil,
          "D0": est.D0},
-        {
-            "Atil": [[0.85, -1.69], [0.0, -0.49]],
-            "Ktil": [[-1.42], [-0.56]],
-            "Ctil": [[-1.41, 3.53]],
-            "D0": [[1.0]],
-        },
+        _GOLDEN_ESTIMATOR,
         n=2,
         which={"Atil": (True, True), "Ktil": (True, False),
                "Ctil": (False, True), "D0": (False, False)},
@@ -140,9 +121,9 @@ def test_criterion_3_estimator():
     # Markov parameters are sign-invariant; compare against the
     # two-decimal reference model directly
     ref = markov_parameters(
-        np.array([[0.85, -1.69], [0.0, -0.49]]),
-        np.array([[-1.42], [-0.56]]),
-        np.array([[-1.41, 3.53]]), 6,
+        np.array(_GOLDEN_ESTIMATOR["Atil"]),
+        np.array(_GOLDEN_ESTIMATOR["Ktil"]),
+        np.array(_GOLDEN_ESTIMATOR["Ctil"]), 6,
     )
     act = markov_parameters(est.Atil, est.Ktil, est.Ctil, 6)
     assert np.max(np.abs(act - ref)) <= 0.05

@@ -13,19 +13,13 @@ from ffest import (
     load_trajectory,
     save_model,
 )
-from ffest.cli import main
+from ffest.cli import _EXAMPLE_SYSTEM, main
 
 
 @pytest.fixture()
 def system_json(tmp_path):
     path = tmp_path / "system.json"
-    save_model(StateSpaceModel(
-        A=np.array([[1.08, -0.23], [0.58, 0.27]]),
-        B=np.array([[-0.56, -1.4], [-0.56, -0.6]]),
-        C=np.array([[-0.25, 2.25], [1.24, -1.25]]),
-        D=np.array([[-0.14, -1.0], [0.0, -1.0]]),
-        p=1, q=1,
-    ), path)
+    save_model(_EXAMPLE_SYSTEM, path)
     return path
 
 
@@ -50,6 +44,18 @@ class TestInnovationForm:
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["innovation-form", str(tmp_path / "nope.json"),
                      str(tmp_path / "out.json")]) == 2
+
+    def test_singular_lambda0_exits_3(self, tmp_path, capsys):
+        # both outputs read the same noise, so Lambda0 = D D^T is singular
+        path = tmp_path / "singular.json"
+        save_model(StateSpaceModel(
+            A=np.diag([0.5, -0.2]), B=np.zeros((2, 2)), C=np.ones((2, 2)),
+            D=np.array([[1.0, 0.0], [1.0, 0.0]]), p=1, q=1,
+        ), path)
+        assert main(["innovation-form", str(path),
+                     str(tmp_path / "out.json")]) == 3
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "IndefiniteCovarianceError"
 
 
 class TestSynthesize:
@@ -108,6 +114,21 @@ class TestSimulateAndFilter:
         bad.write_text("a,b\n1,2\n")
         assert main(["filter", str(est), str(bad),
                      str(tmp_path / "p.csv")]) == 2
+
+    @pytest.mark.parametrize("body", ["0,1.5,2\n1,abc,3\n", "0,1.5,2\n1,2\n"],
+                             ids=["non-numeric", "ragged"])
+    def test_bad_trajectory_body_exits_2(self, tmp_path, innovation_json,
+                                         capsys, body):
+        est = tmp_path / "est.json"
+        assert main(["synthesize", str(innovation_json), str(est),
+                     "--tol-fb", "1e-2", "--rank-tol", "1e-2"]) == 0
+        bad = tmp_path / "bad.csv"
+        bad.write_text("t,y1,w1\n" + body)
+        capsys.readouterr()
+        assert main(["filter", str(est), str(bad),
+                     str(tmp_path / "p.csv")]) == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "ModelFormatError"
 
 
 class TestIdentify:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ffest import (
+    EstimatorModel,
     InnovationJointModel,
     SimConfig,
     Trajectory,
@@ -19,8 +20,9 @@ from ffest import (
     synthesize_from_joint,
     triangularize,
 )
+from ffest.cli import _GOLDEN_ESTIMATOR
+from ffest.cli import _sign_flip_diff as sign_flip_min_diff
 from ffest.errors import FeedbackViolationError, IndefiniteCovarianceError
-from conftest import sign_flip_min_diff
 
 # independently computed estimator for the worked example (frozen, in the
 # triangularize() output's own sign convention)
@@ -67,15 +69,11 @@ class TestSynthesize:
     def test_example_matches_reference_up_to_sign(self, example_estimator):
         e = example_estimator
         diff = sign_flip_min_diff(
-            {"Atil": e.Atil, "Ktil": e.Ktil, "Ctil": e.Ctil},
-            {
-                "Atil": [[0.85, -1.69], [0.0, -0.49]],
-                "Ktil": [[-1.42], [-0.56]],
-                "Ctil": [[-1.41, 3.53]],
-            },
+            {"Atil": e.Atil, "Ktil": e.Ktil, "Ctil": e.Ctil, "D0": e.D0},
+            _GOLDEN_ESTIMATOR,
             n=2,
             which={"Atil": (True, True), "Ktil": (True, False),
-                   "Ctil": (False, True)},
+                   "Ctil": (False, True), "D0": (False, False)},
         )
         assert diff <= 0.03
         assert abs(e.D0[0, 0] - 1.0) <= 0.03
@@ -161,12 +159,20 @@ class TestFilterSignal:
         yhat = filter_signal(example_estimator, w)
         assert np.allclose(yhat, example_estimator.D0 * 2.0)
 
-    def test_matches_plain_recursion(self, example_estimator):
+    # the worked example runs the modal path; a Jordan block has no
+    # eigenbasis (cond = inf), so it runs the plain loop
+    @pytest.mark.parametrize("atil", [None, [[0.5, 1.0], [0.0, 0.5]]],
+                             ids=["worked", "jordan"])
+    def test_matches_plain_recursion(self, example_estimator, atil):
         e = example_estimator
+        if atil is not None:
+            e = EstimatorModel(Atil=atil, Ktil=e.Ktil, Ctil=e.Ctil, D0=e.D0)
+            assert not np.linalg.cond(np.linalg.eig(e.Atil)[1]) < 1e8
         rng = np.random.default_rng(66)
         w = rng.standard_normal((300, 1))
-        yhat = filter_signal(e, w)
-        x = np.zeros(e.n)
+        x0 = np.array([1.0, -2.0])
+        yhat = filter_signal(e, w, x0=x0)
+        x = x0.copy()
         ref = np.zeros((300, 1))
         for t in range(300):
             ref[t] = e.Ctil @ x + e.D0 @ w[t]

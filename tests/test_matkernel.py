@@ -1,13 +1,23 @@
 """Matrix kernel: SVD conventions, Lyapunov and Riccati solvers."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from scipy.signal import place_poles
 
 from ffest import (
+    StateSpaceModel,
+    assemble,
+    innovation_form_details,
+    markov_parameters,
+    random_benchmark_system,
     solve_discrete_lyapunov,
     solve_innovation_riccati,
     spectral_radius,
     svd,
+    synthesize,
+    triangularize,
 )
 from ffest.errors import (
     IndefiniteCovarianceError,
@@ -107,7 +117,7 @@ class TestLyapunov:
             M = M @ A
         assert np.allclose(P, S, atol=1e-10 * (1 + np.linalg.norm(S)))
 
-    def test_large_dimension_doubling_path(self):
+    def test_large_dimension_bilinear_path(self):
         rng = np.random.default_rng(12)
         n = 40
         A = rng.standard_normal((n, n))
@@ -183,8 +193,52 @@ class TestRiccati:
         assert spectral_radius(A - K @ C) <= 1.0 + 1e-10
         assert np.min(np.linalg.eigvalsh(Delta)) > 0
 
+    def test_no_states(self):
+        Lambda0 = np.array([[2.0, 1.0], [1.0, 1.0]])
+        Pi, Delta, K = solve_innovation_riccati(
+            np.zeros((0, 0)), np.zeros((2, 0)), np.zeros((2, 0)), Lambda0)
+        assert Pi.shape == (0, 0) and K.shape == (0, 2)
+        assert np.array_equal(Delta, Lambda0)
+
     def test_unstable_raises(self):
         with pytest.raises(StabilityError):
             solve_innovation_riccati(
                 np.diag([1.1]), np.eye(1), np.eye(1), np.eye(1)
             )
+
+    @pytest.mark.parametrize("zero", [0.9999, 0.99999])
+    def test_ma1_zero_near_unit_circle(self, zero):
+        # z(t) = v(t) - zero v(t-1): driven form A = 0, B = 1, C = -zero,
+        # D = 1, so P = 1; the process is its own innovation, Delta = K = 1
+        A = np.zeros((1, 1))
+        C = np.array([[-zero]])
+        Cbar = np.array([[1.0]])
+        Lambda0 = np.array([[1.0 + zero**2]])
+        Pi, Delta, K = solve_innovation_riccati(A, C, Cbar, Lambda0)
+        assert abs(Delta[0, 0] - 1.0) <= 1e-9
+        assert abs(K[0, 0] - 1.0) <= 1e-9
+        assert abs(Pi[0, 0] - 1.0) <= 1e-9
+
+    def test_w_zero_near_unit_circle_pipeline(self):
+        # feedback-free system whose w-channel innovation filter has a pole
+        # at 1 - 1e-5, hidden under an orthogonal similarity
+        base = random_benchmark_system(seed=7, n=4, p1=2, p2=2, p=1, q=1)
+        K22 = place_poles(base.A22.T, base.C22.T,
+                          [1.0 - 1e-5, 0.5]).gain_matrix.T
+        t = replace(base, K22=K22)
+        joint = assemble(t)
+        U, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((4, 4)))
+        L = np.linalg.cholesky(joint.Q)
+        driven = StateSpaceModel(A=U @ joint.A @ U.T, B=U @ joint.K @ L,
+                                 C=joint.C @ U.T, D=L, p=1, q=1)
+        est = synthesize(triangularize(innovation_form_details(driven).model))
+        oracle = synthesize(t)
+        got = markov_parameters(est.Atil, est.Ktil, est.Ctil, 10)
+        ref = markov_parameters(oracle.Atil, oracle.Ktil, oracle.Ctil, 10)
+        # the larger of the zeroed blocks (tol_fb = 1e-6 over 10 steps) and
+        # the Riccati residual tolerance 1e-8 times 1 / (1 - rho(A - KC))
+        rho = spectral_radius(joint.A - joint.K @ joint.C)
+        scale = 1.0 + max(np.max(np.abs(ref)), np.max(np.abs(oracle.D0)))
+        tol = scale * max(1e-5, 1e-8 / (1.0 - rho))
+        assert np.max(np.abs(got - ref)) <= tol
+        assert np.max(np.abs(est.D0 - oracle.D0)) <= tol

@@ -17,8 +17,9 @@ from ffest import (
     to_innovation_form,
     triangularize,
 )
-from ffest.errors import FeedbackViolationError
-from conftest import sign_flip_min_diff
+from ffest.cli import _GOLDEN_TRIANGULAR
+from ffest.cli import _sign_flip_diff as sign_flip_min_diff
+from ffest.errors import FeedbackViolationError, IndefiniteCovarianceError
 
 
 def covariance_sequence(A, Pstate, C, Lambda0, Cbar, lags):
@@ -88,6 +89,16 @@ class TestInnovationForm:
         m = to_innovation_form(example_system)
         assert np.allclose(m.K, example_chain.K)
 
+    def test_singular_lambda0_raises(self):
+        # both outputs read the same noise, so Lambda0 = D D^T is singular
+        m = StateSpaceModel(
+            A=np.diag([0.5, -0.2]), B=np.zeros((2, 2)),
+            C=np.ones((2, 2)), D=np.array([[1.0, 0.0], [1.0, 0.0]]),
+            p=1, q=1,
+        )
+        with pytest.raises(IndefiniteCovarianceError):
+            innovation_form_details(m)
+
 
 class TestObservabilityMatrix:
     def test_identity_dynamics(self):
@@ -134,13 +145,7 @@ class TestTriangularize:
     def test_example_blocks_up_to_sign(self, example_triangular):
         t = example_triangular
         diff = sign_flip_min_diff(
-            {"A": t.A, "K": t.K, "C": t.C},
-            {
-                "A": [[0.85, 0.81], [0.0, 0.5]],
-                "K": [[-0.70, -0.71], [0.0, -0.56]],
-                "C": [[-1.41, 1.77], [0.0, -1.76]],
-            },
-            n=2,
+            {"A": t.A, "K": t.K, "C": t.C}, _GOLDEN_TRIANGULAR, n=2,
             which={"A": (True, True), "K": (True, False), "C": (False, True)},
         )
         assert diff <= 0.02

@@ -181,3 +181,17 @@ class TestTrajectoryCsv:
         path.write_text("a,b\n1,2\n")
         with pytest.raises(ModelFormatError):
             load_trajectory(path)
+
+    @pytest.mark.parametrize("body", [
+        "0,1.5,2\n1,abc,3\n",      # non-numeric value
+        "0,1.5,2\n1,2\n",          # ragged rows
+        "0,1.5,2,4\n1,2,3,5\n",    # more columns than the header
+        "",                          # header only
+    ], ids=["non-numeric", "ragged", "too-wide", "no-rows"])
+    def test_bad_body_rejected(self, tmp_path, body):
+        from ffest.errors import ModelFormatError
+
+        path = tmp_path / "bad.csv"
+        path.write_text("t,y1,w1\n" + body)
+        with pytest.raises(ModelFormatError):
+            load_trajectory(path)
