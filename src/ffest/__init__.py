@@ -8,109 +8,19 @@ harness compares estimating the predictor directly against estimating the
 joint generator first.
 """
 
-from .errors import (
-    ConvergenceError,
-    FeedbackViolationError,
-    FfestError,
-    IdentificationError,
-    IndefiniteCovarianceError,
-    ModelFormatError,
-    SolverError,
-    StabilityError,
-    UndefinedVafError,
-    ValidationError,
-)
-from .estimator import (
-    compute_d0,
-    filter_signal,
-    joint_one_step_prediction,
-    synthesize,
-    synthesize_from_joint,
-)
-from .matkernel import (
-    SvdResult,
-    solve_discrete_lyapunov,
-    solve_innovation_riccati,
-    spectral_radius,
-    svd,
-)
-from .metrics import average_stats, mse, vaf_components
-from .models import (
-    EstimatorModel,
-    InnovationJointModel,
-    StateSpaceModel,
-    Trajectory,
-    TriangularJointModel,
-    ValidationReport,
-    assemble,
-    extract,
-    flip_state_signs,
-    load_model,
-    model_from_dict,
-    model_to_dict,
-    save_model,
-    validate,
-)
-from .realization import (
-    FeedbackReport,
-    InnovationFormResult,
-    check_feedback_free,
-    innovation_form_details,
-    markov_parameters,
-    observability_matrix,
-    to_innovation_form,
-    triangularize,
-)
-from .simulation import (
-    DiagnosticsReport,
-    SimConfig,
-    innovation_diagnostics,
-    load_trajectory,
-    save_trajectory,
-    simulate,
-    trajectory_rng,
-)
-from .sysid import (
-    BenchmarkResult,
-    Dims,
-    FitResult,
-    OptimizerConfig,
-    Parameterization,
-    SingleEntryParameterization,
-    benchmark,
-    build_parameterization,
-    identify,
-    objective,
-    random_benchmark_system,
-    write_benchmark_curve_csv,
-    write_benchmark_rows_csv,
-    write_benchmark_table_csv,
-)
+from . import (errors, estimator, matkernel, metrics, models, realization,
+               simulation, sysid)
+from .errors import *
+from .estimator import *
+from .matkernel import *
+from .metrics import *
+from .models import *
+from .realization import *
+from .simulation import *
+from .sysid import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConvergenceError", "FeedbackViolationError", "FfestError",
-    "IdentificationError", "IndefiniteCovarianceError", "ModelFormatError",
-    "SolverError", "StabilityError", "UndefinedVafError", "ValidationError",
-    "compute_d0", "filter_signal", "joint_one_step_prediction",
-    "synthesize", "synthesize_from_joint",
-    "SvdResult", "solve_discrete_lyapunov", "solve_innovation_riccati",
-    "spectral_radius", "svd",
-    "average_stats", "mse", "vaf_components",
-    "EstimatorModel", "InnovationJointModel", "StateSpaceModel",
-    "Trajectory", "TriangularJointModel", "ValidationReport",
-    "assemble", "extract", "flip_state_signs", "load_model",
-    "model_from_dict", "model_to_dict", "save_model", "validate",
-    "FeedbackReport", "InnovationFormResult", "check_feedback_free",
-    "innovation_form_details", "markov_parameters", "observability_matrix",
-    "to_innovation_form", "triangularize",
-    "DiagnosticsReport", "SimConfig", "innovation_diagnostics",
-    "load_trajectory", "save_trajectory", "simulate", "trajectory_rng",
-    "BenchmarkResult", "Dims", "FitResult", "OptimizerConfig",
-    "Parameterization", "SingleEntryParameterization", "benchmark",
-    "build_parameterization", "identify", "objective",
-    "random_benchmark_system", "write_benchmark_curve_csv",
-    "write_benchmark_rows_csv", "write_benchmark_table_csv",
-    "__version__",
-]
+__all__ = (errors.__all__ + estimator.__all__ + matkernel.__all__
+           + metrics.__all__ + models.__all__ + realization.__all__
+           + simulation.__all__ + sysid.__all__ + ["__version__"])

@@ -8,6 +8,7 @@ human-readable.
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -33,7 +34,13 @@ from .models import (
     save_model,
 )
 from .realization import innovation_form_details, triangularize
-from .simulation import SimConfig, load_trajectory, save_trajectory, simulate
+from .simulation import (
+    SimConfig,
+    load_trajectory,
+    save_trajectory,
+    simulate,
+    trajectory_rng,
+)
 from .sysid import (
     Dims,
     OptimizerConfig,
@@ -140,7 +147,10 @@ def cmd_filter(args):
 
 def cmd_identify(args):
     traj = load_trajectory(args.trajectory)
-    dims = Dims(*(int(v) for v in args.dims.split(",")))
+    dims = [int(v) for v in args.dims.split(",")]
+    if len(dims) != 5:
+        raise ValidationError(f"--dims needs n,p1,p2,p,q, got {args.dims!r}")
+    dims = Dims(*dims)
     fixed = None
     if args.truth is not None:
         truth = load_model(args.truth)
@@ -180,12 +190,11 @@ def cmd_identify(args):
 
 
 def _run_benchmark(Ns, M, seed, restarts, maxiter, workers, out_dir, prefix):
+    Ns = Ns or [150, 1000]  # --N is repeatable, so argparse cannot default it
     system = random_benchmark_system()
     opt = OptimizerConfig(restarts=restarts, maxiter=maxiter)
     result = benchmark(system, Ns=tuple(Ns), M=M, seed=seed, opt=opt,
                        workers=workers)
-    import os
-
     paths = {
         "rows": os.path.join(out_dir, f"{prefix}_rows.csv"),
         "table": os.path.join(out_dir, f"{prefix}_table.csv"),
@@ -337,8 +346,6 @@ def cmd_reproduce_sysid(args):
     theta_true = float(base.A12[0, 0])
     par = SingleEntryParameterization(base, block="A12", index=(0, 0))
     joint = assemble(base)
-    from .simulation import trajectory_rng
-
     traj = simulate(joint, SimConfig(N=1000, seed=args.seed),
                     rng=trajectory_rng(args.seed))
     fit = identify(par, traj, opt=OptimizerConfig(restarts=2, maxiter=200,
@@ -453,35 +460,26 @@ def _build_parser():
     return p
 
 
+# exit code per error type; the first matching type wins
+_EXIT_CODES = {
+    FeedbackViolationError: 4,
+    IdentificationError: 5,
+    ValidationError: 2,  # includes ModelFormatError
+    FfestError: 3,
+    OSError: 2,
+    ValueError: 2,  # includes json.JSONDecodeError
+}
+
+
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "N", None) is not None and not args.N:
-        args.N = None
-    if hasattr(args, "N") and args.N is None:
-        args.N = [150, 1000]
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FeedbackViolationError as exc:
+    except tuple(_EXIT_CODES) as exc:
         json.dump(_fail_payload(exc), sys.stderr)
         sys.stderr.write("\n")
-        return 4
-    except IdentificationError as exc:
-        json.dump(_fail_payload(exc), sys.stderr)
-        sys.stderr.write("\n")
-        return 5
-    except (ValidationError, ModelFormatError) as exc:
-        json.dump(_fail_payload(exc), sys.stderr)
-        sys.stderr.write("\n")
-        return 2
-    except FfestError as exc:
-        json.dump(_fail_payload(exc), sys.stderr)
-        sys.stderr.write("\n")
-        return 3
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        json.dump(_fail_payload(exc), sys.stderr)
-        sys.stderr.write("\n")
-        return 2
+        return next(code for cls, code in _EXIT_CODES.items()
+                    if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -5,6 +5,19 @@ validation/format errors -> 2, solver errors -> 3,
 feedback violations -> 4, identification failures -> 5.
 """
 
+__all__ = [
+    "FfestError",
+    "ValidationError",
+    "ModelFormatError",
+    "SolverError",
+    "StabilityError",
+    "IndefiniteCovarianceError",
+    "ConvergenceError",
+    "FeedbackViolationError",
+    "IdentificationError",
+    "UndefinedVafError",
+]
+
 
 class FfestError(Exception):
     """Base class for all ffest errors."""

@@ -18,6 +18,7 @@ from .models import EstimatorModel, InnovationJointModel, TriangularJointModel
 from .realization import triangularize
 
 __all__ = [
+    "compute_d0",
     "synthesize",
     "synthesize_from_joint",
     "filter_signal",

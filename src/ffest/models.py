@@ -1,14 +1,21 @@
 """Model types for every system form in the pipeline, plus validation and
 the JSON model-document format.
 
-Constructors check structure only (shapes, finiteness); the deeper
-invariants (stability, positive definiteness, triangularity) are checked by
+Each model type declares its matrices once, as its ``np.ndarray`` fields
+with their exact shapes in ``_shapes()``; the shared constructor and the
+JSON documents both read that declaration. Constructors check structure
+only: every matrix must have exactly its declared shape (an empty array
+takes its declared empty shape) and finite entries. The deeper invariants
+(stability, positive definiteness, triangularity) are checked by
 :func:`validate`, which returns a report instead of raising so that invalid
-models can be inspected.
+models can be inspected. A JSON document lists the dims ``n``, ``p``, ``q``
+(plus ``p1``, ``p2`` for triangular models), which must match the
+matrices, and each matrix as row arrays, with ``[]`` for an empty matrix.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cache
 
 import numpy as np
 
@@ -36,7 +43,7 @@ __all__ = [
 def _arr(x):
     a = np.asarray(x, dtype=float)
     if a.ndim != 2:
-        a = np.atleast_2d(a)
+        a = np.atleast_2d(a) if a.size else a.reshape(0, 0)
     return a
 
 
@@ -46,8 +53,35 @@ def _check_finite(name, a):
         raise ValidationError(f"{name} contains non-finite entries")
 
 
+@cache
+def _matrix_names(cls):
+    """The matrices a model type declares: its ndarray fields, in order."""
+    return tuple(f.name for f in fields(cls) if f.type is np.ndarray)
+
+
+class _Matrices:
+    """Shared constructor of the model types.
+
+    Every matrix field becomes a 2-D float array, checked against the exact
+    shape ``_shapes()`` declares for it; only an empty array is reshaped,
+    to its declared empty shape.
+    """
+
+    def __post_init__(self):
+        for name in _matrix_names(type(self)):
+            setattr(self, name, _arr(getattr(self, name)))
+        for name, shape in self._shapes().items():
+            a = getattr(self, name)
+            if a.shape != shape:
+                if a.size or 0 not in shape:
+                    raise ValidationError(
+                        f"{name} shape {a.shape}, expected {shape}")
+                setattr(self, name, a.reshape(shape))
+            _check_finite(name, a)
+
+
 @dataclass
-class StateSpaceModel:
+class StateSpaceModel(_Matrices):
     """Driven model x+ = Ax + Bv, [y; w] = Cx + Dv with v ~ N(0, I)."""
 
     A: np.ndarray
@@ -57,23 +91,9 @@ class StateSpaceModel:
     p: int
     q: int
 
-    def __post_init__(self):
-        self.A, self.B, self.C, self.D = map(_arr, (self.A, self.B, self.C, self.D))
-        n, m = self.A.shape[0], self.B.shape[1]
-        if self.A.shape != (n, n):
-            raise ValidationError(f"A must be square, got {self.A.shape}")
-        if self.B.shape != (n, m):
-            raise ValidationError(f"B shape {self.B.shape} inconsistent with A")
-        if self.C.shape != (self.p + self.q, n):
-            raise ValidationError(
-                f"C shape {self.C.shape}, expected {(self.p + self.q, n)}"
-            )
-        if self.D.shape != (self.p + self.q, m):
-            raise ValidationError(
-                f"D shape {self.D.shape}, expected {(self.p + self.q, m)}"
-            )
-        for name in ("A", "B", "C", "D"):
-            _check_finite(name, getattr(self, name))
+    def _shapes(self):
+        n, m, r = self.A.shape[0], self.D.shape[1], self.p + self.q
+        return {"A": (n, n), "B": (n, m), "C": (r, n), "D": (r, m)}
 
     @property
     def n(self):
@@ -85,7 +105,7 @@ class StateSpaceModel:
 
 
 @dataclass
-class InnovationJointModel:
+class InnovationJointModel(_Matrices):
     """Joint forward innovation form x+ = Ax + Ke, [y; w] = Cx + e."""
 
     A: np.ndarray
@@ -95,20 +115,9 @@ class InnovationJointModel:
     p: int
     q: int
 
-    def __post_init__(self):
-        self.A, self.K, self.C, self.Q = map(_arr, (self.A, self.K, self.C, self.Q))
-        n = self.A.shape[0]
-        r = self.p + self.q
-        if self.A.shape != (n, n):
-            raise ValidationError(f"A must be square, got {self.A.shape}")
-        if self.K.shape != (n, r):
-            raise ValidationError(f"K shape {self.K.shape}, expected {(n, r)}")
-        if self.C.shape != (r, n):
-            raise ValidationError(f"C shape {self.C.shape}, expected {(r, n)}")
-        if self.Q.shape != (r, r):
-            raise ValidationError(f"Q shape {self.Q.shape}, expected {(r, r)}")
-        for name in ("A", "K", "C", "Q"):
-            _check_finite(name, getattr(self, name))
+    def _shapes(self):
+        n, r = self.A.shape[0], self.p + self.q
+        return {"A": (n, n), "K": (n, r), "C": (r, n), "Q": (r, r)}
 
     @property
     def n(self):
@@ -124,7 +133,7 @@ class InnovationJointModel:
 
 
 @dataclass
-class TriangularJointModel:
+class TriangularJointModel(_Matrices):
     """Block upper-triangular joint innovation form with partition (p1, p2).
 
     The assembled matrices are
@@ -154,25 +163,15 @@ class TriangularJointModel:
     p: int
     q: int
 
-    def __post_init__(self):
+    def _shapes(self):
         p1, p2, p, q = self.p1, self.p2, self.p, self.q
-        n = p1 + p2
-        shapes = {
+        return {
             "A11": (p1, p1), "A12": (p1, p2), "A22": (p2, p2),
             "K11": (p1, p), "K12": (p1, q), "K22": (p2, q),
             "C11": (p, p1), "C12": (p, p2), "C22": (q, p2),
             "Q11": (p, p), "Q12": (p, q), "Q22": (q, q),
-            "T": (n, n),
+            "T": (p1 + p2, p1 + p2),
         }
-        for name, shape in shapes.items():
-            a = _arr(getattr(self, name))
-            a = a.reshape(shape) if a.size == int(np.prod(shape)) else a
-            if a.shape != shape:
-                raise ValidationError(
-                    f"{name} shape {a.shape}, expected {shape}"
-                )
-            _check_finite(name, a)
-            setattr(self, name, a)
 
     @property
     def n(self):
@@ -205,7 +204,7 @@ class TriangularJointModel:
 
 
 @dataclass
-class EstimatorModel:
+class EstimatorModel(_Matrices):
     """Causal predictor x+ = Atil x + Ktil w, yhat = Ctil x + D0 w."""
 
     Atil: np.ndarray
@@ -213,25 +212,12 @@ class EstimatorModel:
     Ctil: np.ndarray
     D0: np.ndarray
 
-    def __post_init__(self):
-        self.Atil, self.Ktil, self.Ctil, self.D0 = map(
-            _arr, (self.Atil, self.Ktil, self.Ctil, self.D0)
-        )
+    def _shapes(self):
         n = self.Atil.shape[0]
-        if self.Atil.shape != (n, n):
-            raise ValidationError(f"Atil must be square, got {self.Atil.shape}")
-        q = self.Ktil.shape[1] if n else self.D0.shape[1]
-        p = self.Ctil.shape[0] if n else self.D0.shape[0]
-        if self.Ktil.shape != (n, q):
-            raise ValidationError(f"Ktil shape {self.Ktil.shape}")
-        if self.Ctil.shape != (p, n):
-            raise ValidationError(f"Ctil shape {self.Ctil.shape}")
-        if self.D0.shape != (p, q):
-            raise ValidationError(
-                f"D0 shape {self.D0.shape}, expected {(p, q)}"
-            )
-        for name in ("Atil", "Ktil", "Ctil", "D0"):
-            _check_finite(name, getattr(self, name))
+        # read p, q off blocks that are not empty when n > 0 (a JSON "[]"
+        # keeps no shape)
+        p, q = (self.Ctil.shape[0], self.Ktil.shape[1]) if n else self.D0.shape
+        return {"Atil": (n, n), "Ktil": (n, q), "Ctil": (p, n), "D0": (p, q)}
 
     @property
     def n(self):
@@ -388,44 +374,26 @@ def flip_state_signs(t: TriangularJointModel, signs) -> TriangularJointModel:
 # --- JSON model documents -------------------------------------------------
 
 _KINDS = {
-    "state_space": (
-        StateSpaceModel,
-        {"n", "p", "q"},
-        ["A", "B", "C", "D"],
-    ),
-    "innovation_joint": (
-        InnovationJointModel,
-        {"n", "p", "q"},
-        ["A", "K", "C", "Q"],
-    ),
-    "triangular_joint": (
-        TriangularJointModel,
-        {"n", "p", "q", "p1", "p2"},
-        ["A11", "A12", "A22", "K11", "K12", "K22",
-         "C11", "C12", "C22", "Q11", "Q12", "Q22", "T"],
-    ),
-    "estimator": (
-        EstimatorModel,
-        {"n", "p", "q"},
-        ["Atil", "Ktil", "Ctil", "D0"],
-    ),
+    "state_space": StateSpaceModel,
+    "innovation_joint": InnovationJointModel,
+    "triangular_joint": TriangularJointModel,
+    "estimator": EstimatorModel,
 }
 
 
-def _kind_of(model):
-    for kind, (cls, _, _) in _KINDS.items():
-        if type(model) is cls:
-            return kind
-    raise TypeError(f"no JSON kind for {type(model).__name__}")
+def _dims(cls):
+    """Declared dims of a document: n, p, q plus the integer fields."""
+    return {"n", "p", "q"} | {f.name for f in fields(cls) if f.type is int}
 
 
 def model_to_dict(model):
-    kind = _kind_of(model)
-    _, dims, mats = _KINDS[kind]
+    kind = next((k for k, cls in _KINDS.items() if type(model) is cls), None)
+    if kind is None:
+        raise TypeError(f"no JSON kind for {type(model).__name__}")
     doc = {"kind": kind}
-    for d in sorted(dims):
+    for d in sorted(_dims(type(model))):
         doc[d] = int(getattr(model, d))
-    for name in mats:
+    for name in _matrix_names(type(model)):
         doc[name] = np.asarray(getattr(model, name)).tolist()
     return doc
 
@@ -436,45 +404,37 @@ def model_from_dict(doc):
     kind = doc.get("kind")
     if kind not in _KINDS:
         raise ModelFormatError(f"unknown model kind {kind!r}")
-    cls, dims, mats = _KINDS[kind]
-    allowed = {"kind"} | dims | set(mats)
-    unknown = set(doc) - allowed
+    cls = _KINDS[kind]
+    dims, mats = _dims(cls), _matrix_names(cls)
+    unknown = set(doc) - dims - set(mats) - {"kind"}
     if unknown:
         raise ModelFormatError(f"unknown fields in model document: {sorted(unknown)}")
     missing = (dims | set(mats)) - set(doc)
     if missing:
         raise ModelFormatError(f"missing fields in model document: {sorted(missing)}")
     try:
-        dim_vals = {d: int(doc[d]) for d in dims}
-        mat_vals = {}
-        for name in mats:
-            rows = doc[name]
-            a = np.asarray(rows, dtype=float)
-            if a.ndim != 2:
-                raise ModelFormatError(
-                    f"matrix {name!r} must be an array of row arrays"
-                )
-            mat_vals[name] = a
+        declared = {d: int(doc[d]) for d in dims}
+        kwargs = {name: np.asarray(doc[name], dtype=float) for name in mats}
     except (TypeError, ValueError) as exc:
         raise ModelFormatError(f"malformed model document: {exc}") from exc
-
-    kwargs = dict(mat_vals)
-    kwargs["p"] = dim_vals["p"]
-    kwargs["q"] = dim_vals["q"]
-    if kind == "triangular_joint":
-        kwargs["p1"] = dim_vals["p1"]
-        kwargs["p2"] = dim_vals["p2"]
-    if kind == "estimator":
-        # n is implied by Atil; accept it for symmetry, verify consistency
-        if mat_vals["Atil"].shape[0] != dim_vals["n"]:
-            raise ModelFormatError("declared n inconsistent with Atil")
-        kwargs = {k: kwargs[k] for k in ("Atil", "Ktil", "Ctil", "D0")}
+    for name, a in kwargs.items():
+        if a.ndim != 2 and a.shape != (0,):
+            raise ModelFormatError(
+                f"matrix {name!r} must be an array of row arrays"
+            )
+    # dims that are constructor fields are passed on, the rest are checked
+    kwargs.update({d: v for d, v in declared.items()
+                   if d in cls.__dataclass_fields__})
     try:
         model = cls(**kwargs)
     except ValidationError as exc:
         raise ModelFormatError(str(exc)) from exc
-    if kind != "estimator" and model.n != dim_vals["n"]:
-        raise ModelFormatError("declared n inconsistent with matrices")
+    for d in sorted(dims):
+        if getattr(model, d) != declared[d]:
+            raise ModelFormatError(
+                f"declared {d} = {declared[d]} inconsistent with matrices "
+                f"({getattr(model, d)})"
+            )
     return model
 
 

@@ -11,10 +11,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IndefiniteCovarianceError, ValidationError
+from .errors import IndefiniteCovarianceError, ModelFormatError, ValidationError
 from .estimator import compute_d0, joint_one_step_prediction
 from .matkernel import solve_discrete_lyapunov
 from .models import InnovationJointModel, StateSpaceModel, Trajectory
+from .realization import triangularize
 
 __all__ = [
     "SimConfig",
@@ -178,8 +179,6 @@ def innovation_diagnostics(m: InnovationJointModel, traj: Trajectory,
     es_resid = None
     notes = []
     try:
-        from .realization import triangularize
-
         t = triangularize(m, rank_tol=rank_tol, on_violation="project")
         D0 = compute_d0(t.Q12, t.Q22)
         xbar = traj.x @ t.T.T
@@ -231,8 +230,6 @@ def save_trajectory(traj: Trajectory, path):
 
 
 def load_trajectory(path) -> Trajectory:
-    from .errors import ModelFormatError
-
     with open(path) as fh:
         header = fh.readline().strip().split(",")
     if not header or header[0] != "t":

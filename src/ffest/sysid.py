@@ -217,7 +217,8 @@ class SingleEntryParameterization(Parameterization):
 
 def _fixed_blocks(case, fixed, shapes):
     """The known blocks ``shapes`` names, taken from ``fixed`` and checked
-    against their exact shapes (model constructors would reshape)."""
+    against their exact shapes, so that a wrong block raises a ValueError
+    naming it, like the other argument checks."""
     missing = [k for k in shapes if fixed is None or k not in fixed]
     if missing:
         raise ValueError(f"{case} is missing fixed blocks {missing}")
@@ -501,10 +502,6 @@ def _benchmark_cell(t_true, case, fixed, N, ni, rep, seed, opt, N_val):
         )
 
 
-def _benchmark_cell_star(task):
-    return _benchmark_cell(*task)
-
-
 def benchmark(system, cases=CASES, Ns=(150, 1000), M=20, seed=0,
               opt: OptimizerConfig | None = None, N_val=1000,
               workers=1) -> BenchmarkResult:
@@ -545,7 +542,7 @@ def benchmark(system, cases=CASES, Ns=(150, 1000), M=20, seed=0,
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_benchmark_cell_star, tasks, chunksize=1))
+            rows = list(pool.map(_benchmark_cell, *zip(*tasks), chunksize=1))
     else:
         rows = [_benchmark_cell(*task) for task in tasks]
     agg = _aggregate(rows, all_cases, list(Ns))

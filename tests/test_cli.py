@@ -157,12 +157,15 @@ class TestIdentify:
         assert doc["estimator"]["kind"] == "estimator"
         assert doc["model"]["kind"] == "triangular_joint"
 
-    def test_bad_dims_exit_2(self, tmp_path, innovation_json):
+    def test_bad_dims_exit_2(self, tmp_path, innovation_json, capsys):
         traj = tmp_path / "traj.csv"
         assert main(["simulate", str(innovation_json), str(traj),
                      "--n", "50", "--seed", "1"]) == 0
-        assert main(["identify", str(traj), str(tmp_path / "f.json"),
-                     "--case", "pred_full", "--dims", "2,2,1,1,1"]) == 2
+        # p1 + p2 != n, and too few dims
+        for dims in ("2,2,1,1,1", "10,4,6"):
+            assert main(["identify", str(traj), str(tmp_path / "f.json"),
+                         "--case", "pred_full", "--dims", dims]) == 2
+            assert "error" in json.loads(capsys.readouterr().err)
 
 
 class TestBenchmarkCommand:

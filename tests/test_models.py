@@ -41,6 +41,23 @@ def make_triangular():
     )
 
 
+def make_triangular_blocks(p1, p2):
+    """Triangular model with p = q = 1 and the partition (p1, p2)."""
+    n = p1 + p2
+    K = np.full((n, 2), 0.1)
+    K[p1:, 0] = 0.0
+    C = np.ones((2, n))
+    C[1, :p1] = 0.0
+    return extract(InnovationJointModel(A=0.5 * np.eye(n), K=K, C=C,
+                                        Q=[[2.0, 1.0], [1.0, 1.0]], p=1, q=1),
+                   p1=p1)
+
+
+def make_empty_estimator():
+    return EstimatorModel(Atil=np.zeros((0, 0)), Ktil=np.zeros((0, 1)),
+                          Ctil=np.zeros((1, 0)), D0=[[0.3]])
+
+
 class TestConstructors:
     def test_state_space_shapes_enforced(self):
         with pytest.raises(ValidationError):
@@ -131,6 +148,8 @@ class TestJson:
         make_innovation(),
         make_triangular(),
         EstimatorModel(Atil=[[0.5]], Ktil=[[1.0]], Ctil=[[2.0]], D0=[[0.3]]),
+        make_triangular_blocks(0, 2),
+        make_empty_estimator(),
     ])
     def test_dict_round_trip(self, model):
         back = model_from_dict(model_to_dict(model))
@@ -143,6 +162,10 @@ class TestJson:
         save_model(make_innovation(), path)
         back = load_model(path)
         assert np.allclose(back.A, make_innovation().A)
+        # models with an empty block: "[]" reads back as the empty matrix
+        for model in (make_triangular_blocks(0, 2), make_empty_estimator()):
+            save_model(model, path)
+            assert model_to_dict(load_model(path)) == model_to_dict(model)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ModelFormatError):
@@ -165,6 +188,24 @@ class TestJson:
         doc["n"] = 7
         with pytest.raises(ModelFormatError):
             model_from_dict(doc)
+
+    @pytest.mark.parametrize("dim", ["p", "q"])
+    def test_inconsistent_estimator_dims_rejected(self, dim):
+        doc = model_to_dict(EstimatorModel(Atil=[[0.5]], Ktil=[[1.0]],
+                                           Ctil=[[2.0]], D0=[[0.3]]))
+        doc[dim] = 2
+        with pytest.raises(ModelFormatError):
+            model_from_dict(doc)
+
+    def test_transposed_block_rejected(self):
+        # right size, wrong shape: K12 is 2x1, given as 1x2
+        t = make_triangular_blocks(2, 1)
+        doc = model_to_dict(t)
+        doc["K12"] = t.K12.T.tolist()
+        with pytest.raises(ModelFormatError):
+            model_from_dict(doc)
+        with pytest.raises(ValidationError):
+            TriangularJointModel(**{**vars(t), "K12": t.K12.T})
 
     def test_invalid_json_file_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

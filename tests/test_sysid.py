@@ -68,7 +68,7 @@ class TestParameterCounts:
         ("gen_full", "C"),
     ])
     def test_transposed_fixed_block_rejected(self, case, block):
-        # right size, wrong shape: the model constructors would reshape it
+        # right size, wrong shape: a ValueError that names the fixed block
         fixed = table_fixed(case)
         fixed[block] = fixed[block].T
         with pytest.raises(ValueError, match=f"fixed {block} must be"):
@@ -320,3 +320,13 @@ class TestBenchmark:
         write_benchmark_rows_csv(small_result, a)
         write_benchmark_rows_csv(again, b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_worker_count_invariant(self):
+        system = random_benchmark_system()
+        opt = OptimizerConfig(restarts=0, maxiter=3)
+        runs = [benchmark(system, cases=("pred_partial", "gen_partial"),
+                          Ns=(150,), M=2, opt=opt, N_val=200, workers=workers)
+                for workers in (1, 2)]
+        rows = [[(r.case, r.N, r.rep, r.training_mse, r.validation_mse,
+                  r.vaf.tolist(), r.error) for r in run.rows] for run in runs]
+        assert rows[0] == rows[1]
