@@ -48,6 +48,7 @@ from .sysid import (
     benchmark,
     build_parameterization,
     identify,
+    known_blocks,
     random_benchmark_system,
     write_benchmark_curve_csv,
     write_benchmark_rows_csv,
@@ -66,23 +67,27 @@ def _print_matrix(name, M):
 
 def _fail_payload(exc):
     payload = {"error": type(exc).__name__, "message": str(exc)}
-    for attr in ("residual", "p1", "p2", "spectral_radius", "iterations"):
+    for attr in ("residual", "p1", "p2", "spectral_radius"):
         v = getattr(exc, attr, None)
         if v is not None:
             payload[attr] = v
     return payload
 
 
+def _load(path, *kinds):
+    """The model stored in ``path``, which must be of one of ``kinds``."""
+    m = load_model(path)
+    if not isinstance(m, kinds):
+        expected = " or ".join(k.__name__ for k in kinds)
+        raise ModelFormatError(
+            f"{path}: expected {expected}, got {type(m).__name__}")
+    return m
+
+
 # --- subcommand handlers --------------------------------------------------
 
 def cmd_innovation_form(args):
-    m = load_model(args.input)
-    if not isinstance(m, StateSpaceModel):
-        raise ModelFormatError(
-            f"{args.input}: expected a state_space model, got "
-            f"{type(m).__name__}"
-        )
-    res = innovation_form_details(m)
+    res = innovation_form_details(_load(args.input, StateSpaceModel))
     for name, M in (("P", res.P), ("Cbar", res.Cbar),
                     ("Lambda0", res.Lambda0), ("Pi", res.Pi),
                     ("Delta", res.Delta), ("K", res.K)):
@@ -93,14 +98,9 @@ def cmd_innovation_form(args):
 
 
 def cmd_synthesize(args):
-    m = load_model(args.input)
+    m = _load(args.input, InnovationJointModel, TriangularJointModel)
     if isinstance(m, TriangularJointModel):
         m = assemble(m)
-    if not isinstance(m, InnovationJointModel):
-        raise ModelFormatError(
-            f"{args.input}: expected an innovation_joint model, got "
-            f"{type(m).__name__}"
-        )
     t = triangularize(m, rank_tol=args.rank_tol, tol_fb=args.tol_fb)
     est = synthesize(t)
     print(f"partition: p1 = {t.p1}, p2 = {t.p2}")
@@ -113,11 +113,7 @@ def cmd_synthesize(args):
 
 
 def cmd_simulate(args):
-    m = load_model(args.model)
-    if not isinstance(m, (StateSpaceModel, InnovationJointModel)):
-        raise ModelFormatError(
-            f"{args.model}: cannot simulate a {type(m).__name__}"
-        )
+    m = _load(args.model, StateSpaceModel, InnovationJointModel)
     cfg = SimConfig(N=args.n, seed=args.seed, init=args.init)
     traj = simulate(m, cfg)
     save_trajectory(traj, args.output)
@@ -126,12 +122,7 @@ def cmd_simulate(args):
 
 
 def cmd_filter(args):
-    est = load_model(args.estimator)
-    if not isinstance(est, EstimatorModel):
-        raise ModelFormatError(
-            f"{args.estimator}: expected an estimator model, got "
-            f"{type(est).__name__}"
-        )
+    est = _load(args.estimator, EstimatorModel)
     traj = load_trajectory(args.trajectory)
     yhat = filter_signal(est, traj.w)
     np.savetxt(args.output, yhat, fmt="%.17g", delimiter=",",
@@ -153,19 +144,10 @@ def cmd_identify(args):
     dims = Dims(*dims)
     fixed = None
     if args.truth is not None:
-        truth = load_model(args.truth)
+        truth = _load(args.truth, TriangularJointModel, InnovationJointModel)
         if isinstance(truth, InnovationJointModel):
             truth = triangularize(truth, p2=dims.p2, on_violation="project")
-        if not isinstance(truth, TriangularJointModel):
-            raise ModelFormatError(
-                f"{args.truth}: expected a triangular_joint (or "
-                f"innovation_joint) model for the known blocks"
-            )
-        if args.case == "gen_full":
-            fixed = {"C": assemble(truth).C}
-        else:
-            fixed = {"A22": truth.A22, "K22": truth.K22,
-                     "C22": truth.C22, "Q22": truth.Q22}
+        fixed = known_blocks(args.case, truth)
     par = build_parameterization(args.case, dims, fixed=fixed)
     opt = OptimizerConfig(restarts=args.restarts, maxiter=args.maxiter,
                           seed=args.seed)
@@ -189,21 +171,21 @@ def cmd_identify(args):
     return 0
 
 
-def _run_benchmark(Ns, M, seed, restarts, maxiter, workers, out_dir, prefix):
-    Ns = Ns or [150, 1000]  # --N is repeatable, so argparse cannot default it
-    system = random_benchmark_system()
-    opt = OptimizerConfig(restarts=restarts, maxiter=maxiter)
-    result = benchmark(system, Ns=tuple(Ns), M=M, seed=seed, opt=opt,
-                       workers=workers)
+def cmd_benchmark(args):
+    Ns = args.N or [150, 1000]  # --N is repeatable, so argparse cannot default it
+    opt = OptimizerConfig(restarts=args.restarts, maxiter=args.maxiter)
+    result = benchmark(random_benchmark_system(), Ns=tuple(Ns), M=args.M,
+                       seed=args.seed, opt=opt, workers=args.workers)
     paths = {
-        "rows": os.path.join(out_dir, f"{prefix}_rows.csv"),
-        "table": os.path.join(out_dir, f"{prefix}_table.csv"),
-        "curve": os.path.join(out_dir, f"{prefix}_curve.csv"),
+        "rows": os.path.join(args.out_dir, f"{args.prefix}_rows.csv"),
+        "table": os.path.join(args.out_dir, f"{args.prefix}_table.csv"),
+        "curve": os.path.join(args.out_dir, f"{args.prefix}_curve.csv"),
     }
     write_benchmark_rows_csv(result, paths["rows"])
     write_benchmark_table_csv(result, paths["table"])
     write_benchmark_curve_csv(result, paths["curve"])
-    print(f"benchmark: {M} repetitions, N in {list(Ns)}, seed {seed}")
+    print(f"benchmark: {args.M} repetitions, N in {list(Ns)}, "
+          f"seed {args.seed}")
     for (case, N), agg in sorted(result.aggregate.items()):
         if agg is None:
             print(f"  {case:>14} N={N:<5} no successful repetitions")
@@ -215,12 +197,6 @@ def _run_benchmark(Ns, M, seed, restarts, maxiter, workers, out_dir, prefix):
               f"mean VAF {agg['mean_vaf']:6.2f}%")
     for name, path in paths.items():
         print(f"wrote {name} CSV to {path}")
-    return result
-
-
-def cmd_benchmark(args):
-    _run_benchmark(args.N, args.M, args.seed, args.restarts, args.maxiter,
-                   args.workers, args.out_dir, args.prefix)
     return 0
 
 
@@ -255,6 +231,14 @@ _GOLDEN_ESTIMATOR = {
     "Ktil": [[-1.42], [-0.56]],
     "Ctil": [[-1.41, 3.53]],
     "D0": [[1.0]],
+}
+
+
+# (rows, columns) of each matrix that transform with the state signs
+_STATE_AXES = {
+    "A": (True, True), "K": (True, False), "C": (False, True),
+    "Atil": (True, True), "Ktil": (True, False), "Ctil": (False, True),
+    "D0": (False, False),
 }
 
 
@@ -298,34 +282,19 @@ def cmd_reproduce_sec5(args):
               f"({'ok' if good else 'MISMATCH'})")
 
     t = triangularize(res.model, rank_tol=1e-2, tol_fb=1e-2)
-    _print_matrix("A (triangular)", t.A)
-    _print_matrix("K (triangular)", t.K)
-    _print_matrix("C (triangular)", t.C)
-    diff = _sign_flip_diff(
-        {"A": t.A, "K": t.K, "C": t.C}, _GOLDEN_TRIANGULAR, t.n,
-        {"A": (True, True), "K": (True, False), "C": (False, True)},
-    )
-    good = diff <= 0.02
-    ok &= good
-    print(f"  max |diff| vs reference triangular form (modulo state signs): "
-          f"{diff:.4f} ({'ok' if good else 'MISMATCH'})")
-
     est = synthesize(t)
-    _print_matrix("Atil", est.Atil)
-    _print_matrix("Ktil", est.Ktil)
-    _print_matrix("Ctil", est.Ctil)
-    _print_matrix("D0", est.D0)
-    diff = _sign_flip_diff(
-        {"Atil": est.Atil, "Ktil": est.Ktil, "Ctil": est.Ctil,
-         "D0": est.D0},
-        _GOLDEN_ESTIMATOR, est.n,
-        {"Atil": (True, True), "Ktil": (True, False),
-         "Ctil": (False, True), "D0": (False, False)},
-    )
-    good = diff <= 0.03
-    ok &= good
-    print(f"  max |diff| vs reference estimator (modulo state signs): "
-          f"{diff:.4f} ({'ok' if good else 'MISMATCH'})")
+    for label, suffix, model, golden, tol in (
+        ("triangular form", " (triangular)", t, _GOLDEN_TRIANGULAR, 0.02),
+        ("estimator", "", est, _GOLDEN_ESTIMATOR, 0.03),
+    ):
+        actual = {name: getattr(model, name) for name in golden}
+        for name, M in actual.items():
+            _print_matrix(name + suffix, M)
+        diff = _sign_flip_diff(actual, golden, t.n, _STATE_AXES)
+        good = diff <= tol
+        ok &= good
+        print(f"  max |diff| vs reference {label} (modulo state signs): "
+              f"{diff:.4f} ({'ok' if good else 'MISMATCH'})")
     print("all golden values reproduced" if ok
           else "GOLDEN VALUE MISMATCH")
     return 0 if ok else 1
@@ -357,10 +326,7 @@ def cmd_reproduce_sysid(args):
     print(f"  estimator coupling Atil12 = theta + {atil12 - fit.theta[0]:.4f}")
 
     print("reduced-scale benchmark on the documented random 10-state system")
-    _run_benchmark(args.N, args.M, args.seed, restarts=args.restarts,
-                   maxiter=args.maxiter, workers=args.workers,
-                   out_dir=args.out_dir, prefix=args.prefix)
-    return 0
+    return cmd_benchmark(args)
 
 
 def cmd_reproduce(args):
@@ -430,32 +396,27 @@ def _build_parser():
     s.add_argument("--seed", type=int, default=0)
     s.set_defaults(func=cmd_identify)
 
-    s = sub.add_parser("benchmark",
-                       help="identification comparison on the documented "
-                            "random system")
-    s.add_argument("--M", type=int, default=20, help="repetitions per cell")
-    s.add_argument("--N", type=int, action="append", default=None,
-                   help="training sample size (repeatable)")
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--restarts", type=int, default=0)
-    s.add_argument("--maxiter", type=int, default=20)
-    s.add_argument("--workers", type=int, default=1)
-    s.add_argument("--out-dir", default=".")
-    s.add_argument("--prefix", default="benchmark")
-    s.set_defaults(func=cmd_benchmark)
-
-    s = sub.add_parser("reproduce",
-                       help="rerun a documented example end to end")
-    s.add_argument("example", choices=["sec5", "sysid"])
-    s.add_argument("--M", type=int, default=5)
-    s.add_argument("--N", type=int, action="append", default=None)
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--restarts", type=int, default=0)
-    s.add_argument("--maxiter", type=int, default=20)
-    s.add_argument("--workers", type=int, default=1)
-    s.add_argument("--out-dir", default=".")
-    s.add_argument("--prefix", default="reproduce_sysid")
-    s.set_defaults(func=cmd_reproduce)
+    bench = sub.add_parser("benchmark",
+                           help="identification comparison on the "
+                                "documented random system")
+    bench.set_defaults(func=cmd_benchmark)
+    repro = sub.add_parser("reproduce",
+                           help="rerun a documented example end to end")
+    repro.add_argument("example", choices=["sec5", "sysid"])
+    repro.set_defaults(func=cmd_reproduce)
+    # the benchmark options; "reproduce sysid" runs it at a reduced M
+    for s, M, prefix in ((bench, 20, "benchmark"),
+                         (repro, 5, "reproduce_sysid")):
+        s.add_argument("--M", type=int, default=M,
+                       help="repetitions per cell")
+        s.add_argument("--N", type=int, action="append", default=None,
+                       help="training sample size (repeatable)")
+        s.add_argument("--seed", type=int, default=0)
+        s.add_argument("--restarts", type=int, default=0)
+        s.add_argument("--maxiter", type=int, default=20)
+        s.add_argument("--workers", type=int, default=1)
+        s.add_argument("--out-dir", default=".")
+        s.add_argument("--prefix", default=prefix)
 
     return p
 

@@ -14,13 +14,11 @@ import numpy as np
 from scipy.signal import lfilter
 
 from .errors import IndefiniteCovarianceError
-from .models import EstimatorModel, InnovationJointModel, TriangularJointModel
-from .realization import triangularize
+from .models import EstimatorModel, TriangularJointModel
 
 __all__ = [
     "compute_d0",
     "synthesize",
-    "synthesize_from_joint",
     "filter_signal",
     "joint_one_step_prediction",
 ]
@@ -59,19 +57,6 @@ def synthesize(t: TriangularJointModel, D0=None) -> EstimatorModel:
     Ktil = np.vstack([KD, t.K22])
     Ctil = np.hstack([t.C11, t.C12 - D0 @ t.C22])
     return EstimatorModel(Atil=Atil, Ktil=Ktil, Ctil=Ctil, D0=D0)
-
-
-def synthesize_from_joint(
-    m: InnovationJointModel,
-    rank_tol=1e-6,
-    tol_fb=1e-6,
-    p2=None,
-    on_violation="raise",
-) -> EstimatorModel:
-    """Triangularize then synthesize; raises on feedback violation."""
-    t = triangularize(m, rank_tol=rank_tol, tol_fb=tol_fb, p2=p2,
-                      on_violation=on_violation)
-    return synthesize(t)
 
 
 def _state_path(A, B, u, x0=None):
@@ -121,21 +106,20 @@ def filter_signal(e: EstimatorModel, w, x0=None):
     return yhat
 
 
-def joint_one_step_prediction(t: TriangularJointModel, traj, x0=None, D0=None):
+def joint_one_step_prediction(t: TriangularJointModel, traj, x0=None):
     """Best one-step prediction of y from the joint past plus current w.
 
     Runs the joint innovation filter x+ = (A - K C) x + K z over the stacked
     observations z = [y; w] and returns
 
-        yhat(t) = C_y x(t) + D0 (w(t) - C_w x(t)).
+        yhat(t) = C_y x(t) + D0 (w(t) - C_w x(t)),   D0 = Q12 Q22^-1.
 
     Started from the true initial state this reproduces the state exactly,
     and y - yhat equals e1 - D0 e2 (the innovation of the stochastic part of
     y) to machine precision.
     """
     A, K, C = t.A, t.K, t.C
-    if D0 is None:
-        D0 = compute_d0(t.Q12, t.Q22)
+    D0 = compute_d0(t.Q12, t.Q22)
     p = t.p
     X = _state_path(A - K @ C, K, np.hstack([traj.y, traj.w]), x0)
     return X @ C[:p].T + (traj.w - X @ C[p:].T) @ D0.T

@@ -324,14 +324,24 @@ def assemble(t):
     return InnovationJointModel(A=t.A, K=t.K, C=t.C, Q=t.Q, p=t.p, q=t.q)
 
 
+def _split(A, K, C, Q, p1, p, T):
+    """Triangular blocks of assembled (A, K, C, Q) at state partition p1
+    and output dimension p; the lower-left blocks are dropped."""
+    return TriangularJointModel(
+        A11=A[:p1, :p1], A12=A[:p1, p1:], A22=A[p1:, p1:],
+        K11=K[:p1, :p], K12=K[:p1, p:], K22=K[p1:, p:],
+        C11=C[:p, :p1], C12=C[:p, p1:], C22=C[p:, p1:],
+        Q11=Q[:p, :p], Q12=Q[:p, p:], Q22=Q[p:, p:],
+        T=T, p1=p1, p2=A.shape[0] - p1, p=p, q=C.shape[0] - p,
+    )
+
+
 def extract(m, p1, T=None):
     """Split a joint model with exact lower-left zeros back into blocks.
 
     Inverse of :func:`assemble`; the lower-left blocks must already be zero.
     """
-    n = m.n
-    p2 = n - p1
-    p, q = m.p, m.q
+    p = m.p
     for name, block in (
         ("A", m.A[p1:, :p1]),
         ("K", m.K[p1:, :p]),
@@ -339,14 +349,7 @@ def extract(m, p1, T=None):
     ):
         if block.size and np.any(block != 0.0):
             raise ValidationError(f"lower-left block of {name} is not zero")
-    return TriangularJointModel(
-        A11=m.A[:p1, :p1], A12=m.A[:p1, p1:], A22=m.A[p1:, p1:],
-        K11=m.K[:p1, :p], K12=m.K[:p1, p:], K22=m.K[p1:, p:],
-        C11=m.C[:p, :p1], C12=m.C[:p, p1:], C22=m.C[p:, p1:],
-        Q11=m.Q[:p, :p], Q12=m.Q[:p, p:], Q22=m.Q[p:, p:],
-        T=np.eye(n) if T is None else T,
-        p1=p1, p2=p2, p=p, q=q,
-    )
+    return _split(m.A, m.K, m.C, m.Q, p1, p, np.eye(m.n) if T is None else T)
 
 
 def flip_state_signs(t: TriangularJointModel, signs) -> TriangularJointModel:
@@ -359,16 +362,8 @@ def flip_state_signs(t: TriangularJointModel, signs) -> TriangularJointModel:
     s = np.asarray(signs, dtype=float).reshape(t.n)
     if not np.all(np.abs(s) == 1.0):
         raise ValidationError("signs must be +-1")
-    s1, s2 = s[: t.p1], s[t.p1 :]
-    return TriangularJointModel(
-        A11=s1[:, None] * t.A11 * s1, A12=s1[:, None] * t.A12 * s2,
-        A22=s2[:, None] * t.A22 * s2,
-        K11=s1[:, None] * t.K11, K12=s1[:, None] * t.K12,
-        K22=s2[:, None] * t.K22,
-        C11=t.C11 * s1, C12=t.C12 * s2, C22=t.C22 * s2,
-        Q11=t.Q11, Q12=t.Q12, Q22=t.Q22,
-        T=s[:, None] * t.T, p1=t.p1, p2=t.p2, p=t.p, q=t.q,
-    )
+    return _split(s[:, None] * t.A * s, s[:, None] * t.K, t.C * s, t.Q,
+                  t.p1, t.p, s[:, None] * t.T)
 
 
 # --- JSON model documents -------------------------------------------------

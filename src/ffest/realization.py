@@ -10,7 +10,8 @@ import numpy as np
 
 from .errors import FeedbackViolationError, IndefiniteCovarianceError, ValidationError
 from .matkernel import solve_discrete_lyapunov, solve_innovation_riccati, svd
-from .models import InnovationJointModel, StateSpaceModel, TriangularJointModel
+from .models import (InnovationJointModel, StateSpaceModel,
+                     TriangularJointModel, _split)
 
 __all__ = [
     "InnovationFormResult",
@@ -154,14 +155,7 @@ def triangularize(
             f"{residual:.3g} > {tol_fb:.3g}",
             residual=residual, p1=p1, p2=p2,
         )
-    p, q = m.p, m.q
-    return TriangularJointModel(
-        A11=Abar[:p1, :p1], A12=Abar[:p1, p1:], A22=Abar[p1:, p1:],
-        K11=Kbar[:p1, :p], K12=Kbar[:p1, p:], K22=Kbar[p1:, p:],
-        C11=Cbar[:p, :p1], C12=Cbar[:p, p1:], C22=Cbar[p:, p1:],
-        Q11=m.Q[:p, :p], Q12=m.Q[:p, p:], Q22=m.Q[p:, p:],
-        T=T, p1=p1, p2=p2, p=p, q=q,
-    )
+    return _split(Abar, Kbar, Cbar, m.Q, p1, m.p, T)
 
 
 def markov_parameters(A, K, C, count):

@@ -28,6 +28,8 @@ __all__ = [
 ]
 
 LOW_SAMPLE_N = 1000
+_MAX_LAG = 20        # innovation autocorrelation lags 1.._MAX_LAG
+_STATE_MAX_LAG = 10  # innovation-state correlation lags 0.._STATE_MAX_LAG
 
 
 @dataclass
@@ -152,7 +154,6 @@ def _max_crosscorr(a, b):
 
 
 def innovation_diagnostics(m: InnovationJointModel, traj: Trajectory,
-                           max_lag=20, state_max_lag=10,
                            rank_tol=1e-6) -> DiagnosticsReport:
     """Empirical whiteness of the innovations and orthogonality to the state.
 
@@ -166,11 +167,11 @@ def innovation_diagnostics(m: InnovationJointModel, traj: Trajectory,
     N = traj.N
     band = 3.0 / np.sqrt(N)
 
-    e_auto = np.zeros(max_lag)
-    for k in range(1, max_lag + 1):
+    e_auto = np.zeros(_MAX_LAG)
+    for k in range(1, _MAX_LAG + 1):
         e_auto[k - 1] = _max_crosscorr(e[k:], e[:-k]) if k < N else 0.0
-    ex = np.zeros(state_max_lag + 1)
-    for k in range(state_max_lag + 1):
+    ex = np.zeros(_STATE_MAX_LAG + 1)
+    for k in range(_STATE_MAX_LAG + 1):
         if k < N and x.shape[1]:
             ex[k] = _max_crosscorr(e[k:], x[: N - k] if k else x)
         else:
@@ -184,7 +185,7 @@ def innovation_diagnostics(m: InnovationJointModel, traj: Trajectory,
         xbar = traj.x @ t.T.T
         tr_traj = Trajectory(y=traj.y, w=traj.w, x=xbar,
                              e=traj.e, seed=traj.seed)
-        yhat = joint_one_step_prediction(t, tr_traj, x0=xbar[0], D0=D0)
+        yhat = joint_one_step_prediction(t, tr_traj, x0=xbar[0])
         es_from_e = traj.e[:, : m.p] - traj.e[:, m.p :] @ D0.T
         skip = min(100, N // 2)
         es_resid = float(

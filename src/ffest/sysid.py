@@ -51,6 +51,7 @@ __all__ = [
     "Parameterization",
     "SingleEntryParameterization",
     "build_parameterization",
+    "known_blocks",
     "FitResult",
     "objective",
     "identify",
@@ -66,6 +67,9 @@ CASES = ("pred_full", "gen_full", "pred_partial", "gen_partial")
 
 _STAB_LIMIT = 1.0 - 1e-6
 _STAB_PENALTY = 1e3
+_GTOL = 1e-6        # L-BFGS-B projected-gradient tolerance
+_FTOL = 1e-10       # L-BFGS-B relative objective-decrease tolerance
+_INIT_SCALE = 0.1   # std of the random perturbation of each restart
 
 
 class Dims(NamedTuple):
@@ -80,9 +84,6 @@ class Dims(NamedTuple):
 class OptimizerConfig:
     restarts: int = 5
     maxiter: int = 2000
-    gtol: float = 1e-6
-    step_tol: float = 1e-10
-    init_scale: float = 0.1
     seed: int = 0
 
 
@@ -127,8 +128,8 @@ class Parameterization:
     ``free`` maps fields of the ``template`` model to boolean masks of the
     entries that are free; theta lists the masked entries field by field,
     each in row-major order, and every other entry keeps its template
-    value. ``estimator_for(theta, data) -> (EstimatorModel, penalty)`` is
-    the predictor the objective filters with.
+    value. ``estimator_for(theta) -> (EstimatorModel, penalty)`` is the
+    predictor the objective filters with.
     """
 
     def __init__(self, case, dims, template, free):
@@ -163,7 +164,7 @@ class Parameterization:
                                   on_violation="project")
         return model
 
-    def estimator_for(self, theta, data=None):
+    def estimator_for(self, theta):
         model = self._synthesizable(theta)
         if isinstance(model, TriangularJointModel):
             D0 = (np.zeros((self.dims.p, self.dims.q)) if self._postfit
@@ -174,7 +175,7 @@ class Parameterization:
     def final_estimator(self, theta, data=None):
         """Estimator reported after the fit; generator cases refine the
         direct gain from data residuals here."""
-        est = self.estimator_for(theta, data)[0]
+        est = self.estimator_for(theta)[0]
         if not self._postfit or data is None:
             return est
         t = self._synthesizable(theta)
@@ -231,11 +232,20 @@ def _fixed_blocks(case, fixed, shapes):
     return blocks
 
 
+def known_blocks(case, truth: TriangularJointModel):
+    """The blocks of the true triangular model that ``case`` holds fixed:
+    C for gen_full, the w-subsystem (A22, K22, C22, Q22) for the partial
+    cases, none for pred_full."""
+    names = {"pred_full": (), "gen_full": ("C",)}.get(
+        case, ("A22", "K22", "C22", "Q22"))
+    return {k: getattr(truth, k) for k in names}
+
+
 def build_parameterization(case, dims, fixed=None):
     """Parameterization for one of the four identification cases.
 
-    ``fixed`` supplies {"A22","K22","C22","Q22"} for the partial cases and
-    {"C"} for gen_full.
+    ``fixed`` supplies the known blocks, as :func:`known_blocks` returns
+    them.
     """
     dims = Dims(*dims)
     n, p1, p2, p, q = dims
@@ -282,7 +292,7 @@ def objective(par: Parameterization, theta, data: Trajectory):
     if not np.all(np.isfinite(theta)):
         return np.inf
     try:
-        est, penalty = par.estimator_for(theta, data)
+        est, penalty = par.estimator_for(theta)
         yhat = filter_signal(est, data.w)
         value = mse(data.y, yhat) + penalty
     except (FfestError, np.linalg.LinAlgError):
@@ -317,7 +327,7 @@ def identify(par: Parameterization, data: Trajectory,
     rng = trajectory_rng(opt.seed)
     starts = [base]
     for _ in range(opt.restarts):
-        starts.append(base + opt.init_scale * rng.standard_normal(par.theta_dim))
+        starts.append(base + _INIT_SCALE * rng.standard_normal(par.theta_dim))
 
     best = None
     total_iters = 0
@@ -330,8 +340,7 @@ def identify(par: Parameterization, data: Trajectory,
             lambda th: objective(par, th, data),
             x0,
             method="L-BFGS-B",
-            options={"maxiter": opt.maxiter, "gtol": opt.gtol,
-                     "ftol": opt.step_tol},
+            options={"maxiter": opt.maxiter, "gtol": _GTOL, "ftol": _FTOL},
         )
         total_iters += int(res.nit)
         if not np.isfinite(res.fun):
@@ -362,11 +371,11 @@ def identify(par: Parameterization, data: Trajectory,
 BENCHMARK_SEED = 20240824
 
 
-def random_benchmark_system(seed=BENCHMARK_SEED, n=10, p1=4, p2=6, p=3, q=2,
-                            radius=0.9) -> TriangularJointModel:
+def random_benchmark_system(seed=BENCHMARK_SEED, n=10, p1=4, p2=6, p=3,
+                            q=2) -> TriangularJointModel:
     """Documented random feedback-free system for the benchmark.
 
-    Triangular by construction, spectral radius scaled to ``radius``,
+    Triangular by construction, spectral radius scaled to 0.9,
     rejection-sampled so the joint and w-subsystem innovation filters are
     stable (a forward-innovation representation must be minimum phase).
     K11 is zero so the irreducible estimation-error floor equals the
@@ -381,7 +390,7 @@ def random_benchmark_system(seed=BENCHMARK_SEED, n=10, p1=4, p2=6, p=3, q=2,
         A = np.block([[A11, A12], [np.zeros((p2, p1)), A22]])
         rho = spectral_radius(A)
         if rho > 0:
-            A *= radius / rho
+            A *= 0.9 / rho
             A11, A12, A22 = A[:p1, :p1], A[:p1, p1:], A[p1:, p1:]
         K11 = np.zeros((p1, p))
         K12 = 0.3 * rng.standard_normal((p1, q))
@@ -453,14 +462,14 @@ def _aggregate(rows, cases, Ns):
                 "validation_mse": float(
                     average_stats([r.validation_mse for r in cell])
                 ),
-                "vaf": vaf,
+                **{f"vaf{i+1}": float(v) for i, v in enumerate(vaf)},
                 "mean_vaf": float(np.mean(vaf)),
                 "repetitions": len(cell),
             }
     return agg
 
 
-def _benchmark_cell(t_true, case, fixed, N, ni, rep, seed, opt, N_val):
+def _benchmark_cell(t_true, case, N, ni, rep, seed, opt, N_val):
     """One (case, sample size, repetition) cell; self-contained so cells
     can run in worker processes with identical results."""
     joint = assemble(t_true)
@@ -478,7 +487,8 @@ def _benchmark_cell(t_true, case, fixed, N, ni, rep, seed, opt, N_val):
                 joint, SimConfig(N=N, seed=seed),
                 rng=trajectory_rng(seed, index=(ni, rep, 0)),
             )
-            par = build_parameterization(case, dims, fixed=fixed[case])
+            par = build_parameterization(case, dims,
+                                         fixed=known_blocks(case, t_true))
             if case == "pred_full" and opt.restarts < 1:
                 # theta = 0 is a stationary point of the fully
                 # parameterized predictor; a random start is required
@@ -517,23 +527,17 @@ def benchmark(system, cases=CASES, Ns=(150, 1000), M=20, seed=0,
         t_true = triangularize(system)
     else:
         t_true = system
-    joint = assemble(t_true)
     dims = Dims(t_true.n, t_true.p1, t_true.p2, t_true.p, t_true.q)
-    partial_fixed = {"A22": t_true.A22, "K22": t_true.K22,
-                     "C22": t_true.C22, "Q22": t_true.Q22}
-    fixed = {case: ({"C": joint.C} if case == "gen_full" else partial_fixed)
-             for case in cases}
-    fixed["case0"] = None
     # benchmark budget: lighter than the identify default, documented here
     opt = opt or OptimizerConfig(restarts=0, maxiter=20)
 
-    theta_dims = {
-        case: build_parameterization(case, dims, fixed=fixed[case]).theta_dim
-        for case in cases
-    }
+    theta_dims = {"case0": 0}
+    for case in cases:
+        theta_dims[case] = build_parameterization(
+            case, dims, fixed=known_blocks(case, t_true)).theta_dim
     all_cases = ["case0"] + list(cases)
     tasks = [
-        (t_true, case, fixed, N, ni, rep, seed, opt, N_val)
+        (t_true, case, N, ni, rep, seed, opt, N_val)
         for ni, N in enumerate(Ns)
         for rep in range(M)
         for case in all_cases
@@ -552,17 +556,20 @@ def benchmark(system, cases=CASES, Ns=(150, 1000), M=20, seed=0,
     )
 
 
+def _fmt(v):
+    """One CSV cell: empty for a missing value."""
+    return "" if v is None else f"{v:.12g}"
+
+
 def write_benchmark_rows_csv(result: BenchmarkResult, path):
     p = result.system.p
     with open(path, "w") as fh:
         vaf_cols = ",".join(f"vaf{i+1}" for i in range(p))
         fh.write(f"case,N,rep,training_mse,validation_mse,{vaf_cols},error\n")
         for r in result.rows:
-            tm = "" if r.training_mse is None else f"{r.training_mse:.12g}"
-            vafs = ",".join(f"{v:.12g}" for v in r.vaf)
-            err = r.error or ""
-            fh.write(f"{r.case},{r.N},{r.rep},{tm},"
-                     f"{r.validation_mse:.12g},{vafs},{err}\n")
+            cells = (r.training_mse, r.validation_mse, *r.vaf)
+            fh.write(f"{r.case},{r.N},{r.rep},"
+                     + ",".join(map(_fmt, cells)) + f",{r.error or ''}\n")
 
 
 def write_benchmark_table_csv(result: BenchmarkResult, path):
@@ -571,30 +578,15 @@ def write_benchmark_table_csv(result: BenchmarkResult, path):
     p = result.system.p
     with open(path, "w") as fh:
         fh.write("N,statistic," + ",".join(cases) + "\n")
-        params = ["", "total_parameters"]
-        params += ["0" if c == "case0" else str(result.theta_dims.get(c, ""))
-                   for c in cases]
-        fh.write(",".join(params) + "\n")
+        fh.write(",total_parameters,"
+                 + ",".join(_fmt(result.theta_dims[c]) for c in cases) + "\n")
         stats = (["training_mse", "validation_mse"]
                  + [f"vaf{i+1}" for i in range(p)] + ["mean_vaf"])
         for N in result.Ns:
             for stat in stats:
-                cells = []
-                for c in cases:
-                    a = result.aggregate.get((c, N))
-                    if a is None:
-                        cells.append("")
-                    elif stat == "training_mse":
-                        v = a["training_mse"]
-                        cells.append("" if v is None else f"{v:.12g}")
-                    elif stat == "validation_mse":
-                        cells.append(f"{a['validation_mse']:.12g}")
-                    elif stat == "mean_vaf":
-                        cells.append(f"{a['mean_vaf']:.12g}")
-                    else:
-                        i = int(stat[3:]) - 1
-                        cells.append(f"{a['vaf'][i]:.12g}")
-                fh.write(f"{N},{stat}," + ",".join(cells) + "\n")
+                cells = [(result.aggregate.get((c, N)) or {}).get(stat)
+                         for c in cases]
+                fh.write(f"{N},{stat}," + ",".join(map(_fmt, cells)) + "\n")
 
 
 def write_benchmark_curve_csv(result: BenchmarkResult, path):
@@ -606,6 +598,5 @@ def write_benchmark_curve_csv(result: BenchmarkResult, path):
                 a = result.aggregate.get((c, N))
                 if a is None:
                     continue
-                tm = ("" if a["training_mse"] is None
-                      else f"{a['training_mse']:.12g}")
-                fh.write(f"{c},{N},{tm},{a['validation_mse']:.12g}\n")
+                fh.write(f"{c},{N},{_fmt(a['training_mse'])},"
+                         f"{_fmt(a['validation_mse'])}\n")

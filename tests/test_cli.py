@@ -13,7 +13,7 @@ from ffest import (
     load_trajectory,
     save_model,
 )
-from ffest.cli import _EXAMPLE_SYSTEM, main
+from ffest.cli import _EXAMPLE_SYSTEM, _build_parser, main
 
 
 @pytest.fixture()
@@ -36,10 +36,30 @@ class TestInnovationForm:
         assert isinstance(m, InnovationJointModel)
         assert np.allclose(m.Q, [[2.0, 1.0], [1.0, 1.0]], atol=0.02)
 
-    def test_wrong_kind_exits_2(self, tmp_path, innovation_json):
-        out = tmp_path / "x.json"
-        assert main(["innovation-form", str(innovation_json),
-                     str(out)]) == 2
+    # every model input of the CLI, each given a model of a kind it rejects
+    @pytest.mark.parametrize("argv, wrong", [
+        (["innovation-form", "{inno}", "{out}"], "inno"),
+        (["synthesize", "{system}", "{out}"], "system"),
+        (["simulate", "{est}", "{out}", "--n", "10"], "est"),
+        (["filter", "{inno}", "{traj}", "{out}"], "inno"),
+        (["identify", "{traj}", "{out}", "--case", "gen_full",
+          "--dims", "2,1,1,1,1", "--truth", "{system}"], "system"),
+    ], ids=["innovation-form", "synthesize", "simulate", "filter",
+            "identify-truth"])
+    def test_wrong_kind_exits_2(self, tmp_path, system_json, innovation_json,
+                                capsys, argv, wrong):
+        paths = {"system": system_json, "inno": innovation_json,
+                 "est": tmp_path / "est.json", "traj": tmp_path / "traj.csv",
+                 "out": tmp_path / "out"}
+        assert main(["synthesize", str(innovation_json), str(paths["est"]),
+                     "--tol-fb", "1e-2", "--rank-tol", "1e-2"]) == 0
+        assert main(["simulate", str(innovation_json), str(paths["traj"]),
+                     "--n", "50"]) == 0
+        capsys.readouterr()
+        assert main([a.format(**paths) for a in argv]) == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "ModelFormatError"
+        assert str(paths[wrong]) in payload["message"]
 
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["innovation-form", str(tmp_path / "nope.json"),
@@ -56,6 +76,18 @@ class TestInnovationForm:
                      str(tmp_path / "out.json")]) == 3
         payload = json.loads(capsys.readouterr().err)
         assert payload["error"] == "IndefiniteCovarianceError"
+
+    def test_unstable_model_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "unstable.json"
+        save_model(StateSpaceModel(
+            A=np.diag([1.2, 0.5]), B=np.eye(2), C=np.eye(2), D=np.eye(2),
+            p=1, q=1,
+        ), path)
+        assert main(["innovation-form", str(path),
+                     str(tmp_path / "out.json")]) == 3
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "StabilityError"
+        assert payload["spectral_radius"] >= 1.0
 
 
 class TestSynthesize:
@@ -169,6 +201,16 @@ class TestIdentify:
 
 
 class TestBenchmarkCommand:
+    @pytest.mark.parametrize("argv, M, prefix", [
+        (["benchmark"], 20, "benchmark"),
+        (["reproduce", "sysid"], 5, "reproduce_sysid"),
+    ])
+    def test_option_defaults(self, argv, M, prefix):
+        args = _build_parser().parse_args(argv)
+        assert (args.M, args.prefix) == (M, prefix)
+        assert (args.N, args.seed, args.restarts, args.maxiter, args.workers,
+                args.out_dir) == (None, 0, 0, 20, 1, ".")
+
     def test_tiny_run_writes_csvs(self, tmp_path, capsys):
         code = main(["benchmark", "--M", "1", "--N", "60",
                      "--maxiter", "2", "--out-dir", str(tmp_path),

@@ -17,7 +17,6 @@ from ffest import (
     simulate,
     spectral_radius,
     synthesize,
-    synthesize_from_joint,
     triangularize,
 )
 from ffest.cli import _GOLDEN_ESTIMATOR
@@ -114,16 +113,6 @@ class TestSynthesize:
 
 
 class TestSynthesizeFromJoint:
-    def test_matches_pipeline(self, example_innovation, example_estimator):
-        e = synthesize_from_joint(example_innovation,
-                                  rank_tol=1e-2, tol_fb=1e-2)
-        h1 = markov_parameters(e.Atil, e.Ktil, e.Ctil, 8)
-        h2 = markov_parameters(example_estimator.Atil,
-                               example_estimator.Ktil,
-                               example_estimator.Ctil, 8)
-        assert np.max(np.abs(h1 - h2)) <= 1e-10
-        assert np.allclose(e.D0, example_estimator.D0)
-
     def test_violation_propagates(self, example_innovation):
         m = example_innovation
         swapped = InnovationJointModel(
@@ -131,7 +120,7 @@ class TestSynthesizeFromJoint:
             p=1, q=1,
         )
         with pytest.raises(FeedbackViolationError):
-            synthesize_from_joint(swapped, rank_tol=1e-2, tol_fb=1e-2)
+            synthesize(triangularize(swapped, rank_tol=1e-2, tol_fb=1e-2))
 
     def test_similarity_invariance(self, example_innovation,
                                    example_estimator):
@@ -141,7 +130,7 @@ class TestSynthesizeFromJoint:
         conj = InnovationJointModel(
             A=Tr @ m.A @ Tr.T, K=Tr @ m.K, C=m.C @ Tr.T, Q=m.Q, p=1, q=1,
         )
-        e = synthesize_from_joint(conj, rank_tol=1e-2, tol_fb=1e-2)
+        e = synthesize(triangularize(conj, rank_tol=1e-2, tol_fb=1e-2))
         h1 = markov_parameters(e.Atil, e.Ktil, e.Ctil, 8)
         h2 = markov_parameters(example_estimator.Atil,
                                example_estimator.Ktil,

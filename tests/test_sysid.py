@@ -12,6 +12,7 @@ from ffest import (
     benchmark,
     build_parameterization,
     identify,
+    known_blocks,
     objective,
     random_benchmark_system,
     simulate,
@@ -29,13 +30,21 @@ TABLE_DIMS = Dims(n=10, p1=4, p2=6, p=3, q=2)
 
 
 def table_fixed(case):
-    t = random_benchmark_system()
-    if case == "gen_full":
-        return {"C": assemble(t).C}
-    return {"A22": t.A22, "K22": t.K22, "C22": t.C22, "Q22": t.Q22}
+    return known_blocks(case, random_benchmark_system())
 
 
 class TestParameterCounts:
+    def test_known_blocks(self):
+        t = random_benchmark_system()
+        assert known_blocks("pred_full", t) == {}
+        gen = known_blocks("gen_full", t)
+        assert list(gen) == ["C"] and np.array_equal(gen["C"], assemble(t).C)
+        for case in ("pred_partial", "gen_partial"):
+            blocks = known_blocks(case, t)
+            assert sorted(blocks) == ["A22", "C22", "K22", "Q22"]
+            for name, block in blocks.items():
+                assert np.array_equal(block, getattr(t, name))
+
     @pytest.mark.parametrize("case,count", [
         ("pred_full", 156),
         ("gen_full", 150),
