@@ -329,12 +329,6 @@ def cmd_reproduce_sysid(args):
     return cmd_benchmark(args)
 
 
-def cmd_reproduce(args):
-    if args.example == "sec5":
-        return cmd_reproduce_sec5(args)
-    return cmd_reproduce_sysid(args)
-
-
 # --- parser ---------------------------------------------------------------
 
 def _build_parser():
@@ -402,11 +396,15 @@ def _build_parser():
     bench.set_defaults(func=cmd_benchmark)
     repro = sub.add_parser("reproduce",
                            help="rerun a documented example end to end")
-    repro.add_argument("example", choices=["sec5", "sysid"])
-    repro.set_defaults(func=cmd_reproduce)
+    examples = repro.add_subparsers(dest="example", required=True)
+    examples.add_parser("sec5", help="the worked example's golden values"
+                        ).set_defaults(func=cmd_reproduce_sec5)
+    repro_sysid = examples.add_parser(
+        "sysid", help="scalar identification, then a reduced benchmark")
+    repro_sysid.set_defaults(func=cmd_reproduce_sysid)
     # the benchmark options; "reproduce sysid" runs it at a reduced M
     for s, M, prefix in ((bench, 20, "benchmark"),
-                         (repro, 5, "reproduce_sysid")):
+                         (repro_sysid, 5, "reproduce_sysid")):
         s.add_argument("--M", type=int, default=M,
                        help="repetitions per cell")
         s.add_argument("--N", type=int, action="append", default=None,

@@ -83,9 +83,10 @@ def observability_matrix(A, Cw):
 def _transform(m: InnovationJointModel, rank_tol, p2=None):
     """SVD coordinates putting the w-observable states last.
 
-    Returns (T, Abar, Kbar, Cbar, p1, p2, residual) where residual is the
-    largest relative Frobenius norm of the lower-left blocks that should
-    vanish for a feedback-free process.
+    Returns (T, Abar, Kbar, Cbar, p1, p2, residual, dec) where residual is
+    the largest relative Frobenius norm of the lower-left blocks that should
+    vanish for a feedback-free process, and dec is the SVD of the
+    observability matrix of (A, C_w), whose V is T transposed.
     """
     n = m.n
     O = observability_matrix(m.A, m.C_w)
@@ -111,7 +112,7 @@ def _transform(m: InnovationJointModel, rank_tol, p2=None):
         rel(Kbar[p1:, : m.p], Kbar),
         rel(Cbar[m.p :, :p1], Cbar),
     )
-    return T, Abar, Kbar, Cbar, p1, p2, residual
+    return T, Abar, Kbar, Cbar, p1, p2, residual, dec
 
 
 @dataclass
@@ -129,7 +130,7 @@ def check_feedback_free(m: InnovationJointModel, tol_fb=1e-6) -> FeedbackReport:
     feedback from y to w; the report carries the lower-left residual left
     over after the SVD change of coordinates.
     """
-    _, _, _, _, p1, p2, residual = _transform(m, rank_tol=tol_fb)
+    _, _, _, _, p1, p2, residual, _ = _transform(m, rank_tol=tol_fb)
     return FeedbackReport(free=residual <= tol_fb, residual=residual, p1=p1, p2=p2)
 
 
@@ -145,10 +146,11 @@ def triangularize(
     ``p2`` defaults to the numerical rank of the observability matrix of
     (A, C_w) at ``rank_tol``. Sub-tolerance lower-left blocks are zeroed
     exactly. With ``on_violation="project"`` the blocks are zeroed
-    regardless of the residual (used by identification, where iterates are
-    generically not feedback-free).
+    regardless of the residual (for identified models, which are
+    generically not feedback-free; identification's search projects its
+    iterates through :func:`_transform` directly, to reuse the SVD).
     """
-    T, Abar, Kbar, Cbar, p1, p2, residual = _transform(m, rank_tol, p2=p2)
+    T, Abar, Kbar, Cbar, p1, p2, residual, _ = _transform(m, rank_tol, p2=p2)
     if residual > tol_fb and on_violation == "raise":
         raise FeedbackViolationError(
             f"no-feedback condition violated: lower-left residual "

@@ -20,19 +20,26 @@ synthesized into a predictor. "post-fit" cases search with D0 = 0 and
 regress D0 on the w-subsystem innovations after the fit; gen_full also
 estimates Q from its one-step joint residuals. All cases are fitted by
 minimizing the mean squared one-step prediction error of y with a
-quasi-Newton optimizer (finite-difference gradients, multi-start), with a
-stability barrier on the filter matrix.
+multi-start quasi-Newton optimizer (L-BFGS-B), with a stability barrier on
+the filter matrix. pred_full and gen_full take exact gradients from one
+adjoint (reverse-time) pass of the filter, chained back through the
+barrier, the synthesis block map and gen_full's projection onto triangular
+form (:func:`objective_and_gradient`); the other cases use scipy's
+finite-difference gradients (see :data:`ADJOINT_CASES`). Entries that the
+search cannot see, because they multiply the D0 = 0 of a generator case,
+are held at their template values.
 """
 
 import warnings
 from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import minimize
 
 from .errors import FfestError, IdentificationError
-from .estimator import filter_signal, synthesize
+from .estimator import _state_path, filter_signal, synthesize
 from .matkernel import spectral_radius
 from .metrics import average_stats, mse, vaf_components
 from .models import (
@@ -40,9 +47,10 @@ from .models import (
     InnovationJointModel,
     Trajectory,
     TriangularJointModel,
+    _split,
     assemble,
 )
-from .realization import triangularize
+from .realization import _transform, observability_matrix, triangularize
 from .simulation import SimConfig, simulate, trajectory_rng
 
 __all__ = [
@@ -54,6 +62,7 @@ __all__ = [
     "known_blocks",
     "FitResult",
     "objective",
+    "objective_and_gradient",
     "identify",
     "random_benchmark_system",
     "BenchmarkResult",
@@ -65,6 +74,22 @@ __all__ = [
 
 CASES = ("pred_full", "gen_full", "pred_partial", "gen_partial")
 
+# Cases whose search uses objective_and_gradient. The partial and
+# single-entry cases keep scipy's finite differences: with exact gradients
+# the benchmark's N = 150 means reverse the generator-beats-predictor
+# ordering (gen_partial 5.77385 against pred_partial 5.75816, where finite
+# differences give 5.71455 and 5.76509), and that ordering holds at only
+# 1.2-1.4 standard errors over its 20 repetitions, so switching these cases
+# waits for paired exact-MSE margins that can tell the two apart.
+ADJOINT_CASES = ("pred_full", "gen_full")
+
+# Singular values of the w-observability matrix closer than this, relative
+# to the largest, count as equal when differentiating the projection: it is
+# triangularize's default rank tolerance, below which the rank decision
+# cannot tell directions apart either. Without it, the gen_full search
+# stalls where the observable subspace has gaps of 1e-12 and its exact
+# gradient reaches 1e7.
+_GAP_TOL = 1e-6
 _STAB_LIMIT = 1.0 - 1e-6
 _STAB_PENALTY = 1e3
 _GTOL = 1e-6        # L-BFGS-B projected-gradient tolerance
@@ -128,11 +153,13 @@ class Parameterization:
     ``free`` maps fields of the ``template`` model to boolean masks of the
     entries that are free; theta lists the masked entries field by field,
     each in row-major order, and every other entry keeps its template
-    value. ``estimator_for(theta) -> (EstimatorModel, penalty)`` is the
-    predictor the objective filters with.
+    value. ``dead`` maps fields to masks of free entries that the objective
+    cannot see; ``self.dead`` marks them in theta. ``estimator_for(theta)
+    -> (EstimatorModel, penalty)`` is the predictor the objective filters
+    with.
     """
 
-    def __init__(self, case, dims, template, free):
+    def __init__(self, case, dims, template, free, dead=None):
         self.case = case
         self.dims = dims
         self.template = template
@@ -140,6 +167,10 @@ class Parameterization:
         sizes = [int(mask.sum()) for mask in free.values()]
         self.theta_dim = sum(sizes)
         self._splits = np.cumsum(sizes)[:-1]
+        dead = dead or {}
+        self.dead = np.concatenate(
+            [dead.get(name, np.zeros(mask.shape, dtype=bool))[mask]
+             for name, mask in free.items()])
         # the generator cases carry no Q12; D0 is regressed after the fit
         self._postfit = case in ("gen_full", "gen_partial")
 
@@ -155,31 +186,37 @@ class Parameterization:
             filled[name][mask] = part
         return replace(self.template, **filled)
 
-    def _synthesizable(self, theta):
-        """Decoded model, triangularized if it is a joint innovation model
-        (iterates are generically not feedback-free, so project)."""
+    def _stages(self, theta):
+        """The map from theta to the predictor before the barrier, stage by
+        stage: (decoded model, triangular blocks or None, observability SVD
+        or None, predictor). A joint innovation model is projected onto
+        triangular form (iterates are generically not feedback-free) in
+        the SVD basis of its w-observability matrix."""
         model = self.decode(theta)
+        tri = dec = None
         if isinstance(model, InnovationJointModel):
-            model = triangularize(model, p2=self.dims.p2,
-                                  on_violation="project")
-        return model
+            # p2 is given, so no rank decision is made
+            T, Abar, Kbar, Cbar, p1, _, _, dec = _transform(
+                model, rank_tol=None, p2=self.dims.p2)
+            tri = _split(Abar, Kbar, Cbar, model.Q, p1, model.p, T)
+        elif isinstance(model, TriangularJointModel):
+            tri = model
+        if tri is None:
+            return model, None, None, model
+        D0 = np.zeros((self.dims.p, self.dims.q)) if self._postfit else None
+        return model, tri, dec, synthesize(tri, D0=D0)
 
     def estimator_for(self, theta):
-        model = self._synthesizable(theta)
-        if isinstance(model, TriangularJointModel):
-            D0 = (np.zeros((self.dims.p, self.dims.q)) if self._postfit
-                  else None)
-            model = synthesize(model, D0=D0)
-        return _stable(model)
+        return _stable(self._stages(theta)[3])
 
     def final_estimator(self, theta, data=None):
         """Estimator reported after the fit; generator cases refine the
         direct gain from data residuals here."""
-        est = self.estimator_for(theta)[0]
+        _, tri, _, pred = self._stages(theta)
+        est = _stable(pred)[0]
         if not self._postfit or data is None:
             return est
-        t = self._synthesizable(theta)
-        return _stable(synthesize(t, D0=_postfit_d0(t, est, data)))[0]
+        return _stable(synthesize(tri, D0=_postfit_d0(tri, est, data)))[0]
 
     def finalize_model(self, theta, data=None):
         """Identified model for reporting; generator cases estimate the
@@ -251,6 +288,7 @@ def build_parameterization(case, dims, fixed=None):
     n, p1, p2, p, q = dims
     if p1 + p2 != n:
         raise ValueError(f"p1 + p2 must equal n, got {dims}")
+    dead = None
     if case == "pred_full":
         template = EstimatorModel(Atil=np.zeros((n, n)), Ktil=np.zeros((n, q)),
                                   Ctil=np.zeros((p, n)), D0=np.zeros((p, q)))
@@ -261,6 +299,9 @@ def build_parameterization(case, dims, fixed=None):
                                         K=np.zeros((n, p + q)),
                                         Q=np.eye(p + q), p=p, q=q, **known)
         free = ("A", "K")
+        # the y-innovation columns of K become K11 (or the dropped lower
+        # left block), which synthesize multiplies by D0 = 0
+        dead = {"K": np.broadcast_to(np.arange(p + q) < p, (n, p + q))}
     elif case in ("pred_partial", "gen_partial"):
         known = _fixed_blocks(case, fixed, {
             "A22": (p2, p2), "K22": (p2, q), "C22": (q, p2), "Q22": (q, q)})
@@ -274,11 +315,14 @@ def build_parameterization(case, dims, fixed=None):
         free = ("A11", "A12", "K11", "K12", "C11", "C12")
         if case == "pred_partial":
             free += ("Q12",)
+        else:
+            # synthesize uses K12 + K11 D0, and the search has D0 = 0
+            dead = {"K11": np.ones((p1, p), dtype=bool)}
     else:
         raise ValueError(f"unknown case {case!r}; expected one of {CASES}")
     masks = {name: np.ones(getattr(template, name).shape, dtype=bool)
              for name in free}
-    return Parameterization(case, dims, template, masks)
+    return Parameterization(case, dims, template, masks, dead)
 
 
 def objective(par: Parameterization, theta, data: Trajectory):
@@ -298,6 +342,131 @@ def objective(par: Parameterization, theta, data: Trajectory):
     except (FfestError, np.linalg.LinAlgError):
         return np.inf
     return value if np.isfinite(value) else np.inf
+
+
+def _barrier_adjoint(Atil, g):
+    """Gradient over the filter matrix before :func:`_stable`, given the
+    gradient ``g`` over the one it returns. Where the barrier is active,
+    Atil' = Atil L / rho and the penalty adds P (rho - L); rho is
+    differentiable where its eigenvalue (pair) is simple, with
+    d rho = Re(conj(lam) u^H dA v) / (|lam| u^H v)."""
+    rho = spectral_radius(Atil)
+    if rho < _STAB_LIMIT:
+        return g
+    scale = _STAB_LIMIT / rho
+    lam, V = np.linalg.eig(Atil)
+    k = int(np.argmax(np.abs(lam)))
+    # left eigenvector u^H = row k of V^-1, so that u^H v = 1
+    uh = np.linalg.solve(V.T, np.eye(len(lam))[k])
+    drho = np.real(np.conj(lam[k]) / np.abs(lam[k]) * np.outer(uh, V[:, k]))
+    return scale * g + (_STAB_PENALTY - scale / rho * np.sum(g * Atil)) * drho
+
+
+def _synthesize_adjoint(t, est, g, d0_given):
+    """Gradient over the blocks of ``t`` given the gradient ``g`` over the
+    matrices of ``est = synthesize(t, D0)``. D0 is a constant when
+    ``d0_given``, and Q12 Q22^-1 otherwise."""
+    p1 = t.p1
+    KD, D0 = est.Ktil[:p1], est.D0
+    gA12, gA22, gC12 = g.Atil[:p1, p1:], g.Atil[p1:, p1:], g.Ctil[:, p1:]
+    gKD = g.Ktil[:p1] - gA12 @ t.C22.T
+    gD0 = g.D0 + t.K11.T @ gKD - gC12 @ t.C22.T
+    gQ12 = (np.zeros_like(t.Q12) if d0_given
+            else np.linalg.solve(t.Q22, gD0.T).T)
+    return SimpleNamespace(
+        A11=g.Atil[:p1, :p1], A12=gA12, A22=gA22,
+        K11=gKD @ D0.T, K12=gKD, K22=g.Ktil[p1:] - gA22 @ t.C22.T,
+        C11=g.Ctil[:, :p1], C12=gC12,
+        C22=-(KD.T @ gA12 + t.K22.T @ gA22 + D0.T @ gC12),
+        Q11=np.zeros_like(t.Q11), Q12=gQ12, Q22=-D0.T @ gQ12,
+    )
+
+
+def _projection_adjoint(m, tri, dec, g):
+    """Gradient over (A, K) of the joint model ``m`` given the gradient
+    ``g`` over the blocks of its projection ``tri`` (basis T = dec.V^T).
+
+    The projection is invariant under rotations within the first p1 and
+    within the last p2 rows of T, so it depends on T only through the
+    invariant subspace of the top p2 eigenvalues s = S^2 of O^T O, O the
+    w-observability matrix. That subspace moves by dT = Omega T with
+    Omega_ij = (t_j dM t_i^T) / (s_i - s_j) for i, j in different groups,
+    dM = d(O^T O). Pairs with a zero gap, singular values equal to within
+    ``_GAP_TOL``, contribute 0.
+    """
+    n, p1, p, q, T = m.n, tri.p1, m.p, m.q, tri.T
+    p2 = n - p1
+    gAbar = np.block([[g.A11, g.A12], [np.zeros((p2, p1)), g.A22]])
+    gKbar = np.block([[g.K11, g.K12], [np.zeros((p2, p)), g.K22]])
+    gCbar = np.block([[g.C11, g.C12], [np.zeros((q, p1)), g.C22]])
+    # Abar = T A T^T, Kbar = T K, Cbar = C T^T; the lower-left blocks are
+    # dropped, so their gradient is zero
+    gA = T.T @ gAbar @ T
+    gK = T.T @ gKbar
+    gT = gAbar @ T @ m.A.T + gAbar.T @ T @ m.A + gKbar @ m.K.T + gCbar.T @ m.C
+    H = gT @ T.T
+    S = dec.S
+    cross = np.zeros((n, n), dtype=bool)
+    cross[:p1, p1:] = cross[p1:, :p1] = True
+    cross &= np.abs(S[:, None] - S[None, :]) > _GAP_TOL * S[-1]
+    gap = S[:, None] ** 2 - S[None, :] ** 2
+    E = np.zeros((n, n))
+    E[cross] = H[cross] / gap[cross]
+    gM = T.T @ E.T @ T
+    # M = O^T O, then O = [Cw; Cw A; ...; Cw A^(n-1)] in reverse
+    O = observability_matrix(m.A, m.C_w)
+    gO = O @ (gM + gM.T)
+    gB = np.zeros((q, n))
+    for k in range(n - 1, 0, -1):
+        gB = gO[k * q:(k + 1) * q] + gB @ m.A.T
+        gA += O[(k - 1) * q:k * q].T @ gB
+    return SimpleNamespace(A=gA, K=gK)
+
+
+def objective_and_gradient(par: Parameterization, theta, data: Trajectory):
+    """:func:`objective` and its gradient in theta, as ``(value, grad)``.
+
+    The forward pass filters as :func:`objective` does, so the values are
+    equal. One reverse-time pass of the same recursion with the transposed
+    filter matrix gives the adjoint states, and from them the gradient over
+    the predictor's matrices (Ljung, *System Identification*, 2nd ed.,
+    1999, sec. 10.3). It is chained back through the stability barrier, the
+    synthesis block map, and for joint innovation templates the projection
+    onto triangular form. Returns (+inf, 0) where :func:`objective` is +inf
+    or the gradient is not finite.
+    """
+    theta = np.asarray(theta, dtype=float)
+    failed = (np.inf, np.zeros(par.theta_dim))
+    if not np.all(np.isfinite(theta)):
+        return failed
+    try:
+        model, tri, dec, pred = par._stages(theta)
+        est, penalty = _stable(pred)
+        # filter_signal's arithmetic, keeping the states
+        w = data.w
+        X = _state_path(est.Atil, est.Ktil, w)
+        yhat = w @ est.D0.T
+        yhat += X @ est.Ctil.T
+        value = mse(data.y, yhat) + penalty
+        if not np.isfinite(value):
+            return failed
+        G = (yhat - data.y) * (2.0 / data.N)  # gradient over yhat
+        # adjoint states lambda(t+1), t = 0..N-1, by the reversed recursion
+        Lam = _state_path(est.Atil.T, np.eye(est.n), (G @ est.Ctil)[::-1])
+        Lam = Lam[::-1]
+        g = SimpleNamespace(Atil=Lam.T @ X, Ktil=Lam.T @ w, Ctil=G.T @ X,
+                            D0=G.T @ w)
+        g.Atil = _barrier_adjoint(pred.Atil, g.Atil)
+        if tri is not None:
+            g = _synthesize_adjoint(tri, pred, g, par._postfit)
+        if dec is not None:
+            g = _projection_adjoint(model, tri, dec, g)
+        grad = par.encode(g)
+    except (FfestError, np.linalg.LinAlgError):
+        return failed
+    if not np.all(np.isfinite(grad)):
+        return failed
+    return value, grad
 
 
 @dataclass
@@ -323,11 +492,20 @@ def identify(par: Parameterization, data: Trajectory,
             stacklevel=2,
         )
     base = (np.zeros(par.theta_dim) if theta0 is None
-            else np.asarray(theta0, dtype=float))
+            else np.array(theta0, dtype=float))
     rng = trajectory_rng(opt.seed)
     starts = [base]
     for _ in range(opt.restarts):
         starts.append(base + _INIT_SCALE * rng.standard_normal(par.theta_dim))
+    # the objective is flat along the dead entries, so the search keeps
+    # them where they start: at their template values
+    pinned = par.encode(par.template)[par.dead]
+    for x0 in starts:
+        x0[par.dead] = pinned
+    if par.case in ADJOINT_CASES:
+        fun, jac = (lambda th: objective_and_gradient(par, th, data)), True
+    else:
+        fun, jac = (lambda th: objective(par, th, data)), None
 
     best = None
     total_iters = 0
@@ -337,8 +515,9 @@ def identify(par: Parameterization, data: Trajectory,
             messages.append(f"start {i}: objective not finite at x0")
             continue
         res = minimize(
-            lambda th: objective(par, th, data),
+            fun,
             x0,
+            jac=jac,
             method="L-BFGS-B",
             options={"maxiter": opt.maxiter, "gtol": _GTOL, "ftol": _FTOL},
         )

@@ -229,6 +229,13 @@ class TestReproduce:
         assert "MISMATCH" not in out
         assert "all golden values reproduced" in out
 
+    def test_sec5_rejects_benchmark_options(self, capsys):
+        # the benchmark options belong to "reproduce sysid" alone
+        with pytest.raises(SystemExit) as exc:
+            main(["reproduce", "sec5", "--M", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --M 3" in capsys.readouterr().err
+
     def test_sec5_deterministic(self, capsys):
         assert main(["reproduce", "sec5"]) == 0
         first = capsys.readouterr().out

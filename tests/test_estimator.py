@@ -7,7 +7,6 @@ from ffest import (
     EstimatorModel,
     InnovationJointModel,
     SimConfig,
-    Trajectory,
     assemble,
     compute_d0,
     filter_signal,

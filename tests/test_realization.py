@@ -8,8 +8,6 @@ from ffest import (
     StateSpaceModel,
     assemble,
     check_feedback_free,
-    extract,
-    flip_state_signs,
     innovation_form_details,
     markov_parameters,
     observability_matrix,

@@ -14,6 +14,7 @@ from ffest import (
     identify,
     known_blocks,
     objective,
+    objective_and_gradient,
     random_benchmark_system,
     simulate,
     spectral_radius,
@@ -25,6 +26,7 @@ from ffest import (
     write_benchmark_table_csv,
 )
 from ffest.errors import IdentificationError
+from ffest.sysid import CASES
 
 TABLE_DIMS = Dims(n=10, p1=4, p2=6, p=3, q=2)
 
@@ -158,6 +160,125 @@ class TestObjective:
         val = objective(par, theta_bad, traj)
         assert np.isfinite(val)
         assert val > objective(par, theta, traj)
+
+
+def gradient_points():
+    """Parameters (case, region, theta) at random theta with the stability
+    barrier inactive and active, and gen_full's start theta = 0."""
+    rng = np.random.default_rng(11)
+    points = []
+    for case in CASES:
+        dim = build_parameterization(case, TABLE_DIMS,
+                                     fixed=table_fixed(case)).theta_dim
+        for region, scale in (("stable", 0.05), ("barrier", 1.0)):
+            points.append(pytest.param(case, region,
+                                       scale * rng.standard_normal(dim),
+                                       id=f"{case}-{region}"))
+    points.append(pytest.param("gen_full", "stable", None, id="gen_full-zero"))
+    return points
+
+
+def single_entry_points():
+    """Parameters (block, index, value, region) of the single-entry case."""
+    q22 = random_benchmark_system().Q22[0, 0]
+    return [pytest.param(block, index, value, region, id=f"{block}-{region}")
+            for block, index, value, region in (
+                ("A11", (0, 0), 0.3, "stable"),
+                ("A11", (0, 0), 5.0, "barrier"),
+                ("K11", (1, 2), 0.1, "stable"),
+                ("Q22", (0, 0), q22 + 0.1, "stable"))]
+
+
+class TestGradient:
+    """objective_and_gradient against central differences.
+
+    Per coordinate, D(h) = (F(theta + h e) - F(theta - h e)) / 2h differs
+    from the derivative by a h^2 + O(h^4) plus rounding of at most
+    delta / h, delta bounding the error of one evaluation of F. Since
+    D(2h) - D(h) = 3 a h^2 + O(h^4) + rounding, the error of D(h) is at
+    most |D(2h) - D(h)| / 3 + 1.5 delta / h up to O(h^4); the tolerance
+    triples the truncation estimate for the higher-order terms and doubles
+    the rounding term for the analytic gradient's own rounding. delta
+    bounds a sum of N squared residuals whose filter amplifies rounding by
+    the condition number kappa of the filter matrix's eigenvectors:
+    delta = N kappa eps |F|. At the random gen_full points every singular
+    value of the w-observability matrix is resolved, so no pair is dropped
+    as a zero gap; at theta = 0 the dropped pairs carry d(O^T O) = 0.
+    """
+
+    H = 1e-5
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        return simulate(assemble(random_benchmark_system()),
+                        SimConfig(N=200, seed=3))
+
+    def check(self, par, theta, data, region):
+        theta = np.asarray(theta, dtype=float)
+        value, grad = objective_and_gradient(par, theta, data)
+        assert value == objective(par, theta, data)
+        est, penalty = par.estimator_for(theta)
+        assert (penalty > 0.0) == (region == "barrier")
+
+        def central(h):
+            d = np.zeros(par.theta_dim)
+            for i in range(par.theta_dim):
+                e = np.zeros(par.theta_dim)
+                e[i] = h
+                d[i] = (objective(par, theta + e, data)
+                        - objective(par, theta - e, data)) / (2.0 * h)
+            return d
+
+        d1, d2 = central(self.H), central(2.0 * self.H)
+        kappa = np.linalg.cond(np.linalg.eig(est.Atil)[1])
+        delta = data.N * kappa * np.finfo(float).eps * abs(value)
+        tol = np.abs(d2 - d1) + 3.0 * delta / self.H
+        assert np.all(np.abs(grad - d1) <= tol), np.max(np.abs(grad - d1) / tol)
+        # the objective cannot see the dead entries
+        assert np.all(grad[par.dead] == 0.0)
+
+    @pytest.mark.parametrize("case, region, theta", gradient_points())
+    def test_matches_central_differences(self, data, case, region, theta):
+        par = build_parameterization(case, TABLE_DIMS,
+                                     fixed=table_fixed(case))
+        if theta is None:
+            theta = np.zeros(par.theta_dim)
+        self.check(par, theta, data, region)
+
+    @pytest.mark.parametrize("block, index, value, region",
+                             single_entry_points())
+    def test_single_entry(self, data, block, index, value, region):
+        par = SingleEntryParameterization(random_benchmark_system(),
+                                          block=block, index=index)
+        self.check(par, [value], data, region)
+
+
+class TestDeadEntries:
+    @pytest.mark.parametrize("case", ["gen_partial", "gen_full"])
+    def test_final_estimator_ignores_dead_start_values(self, case):
+        # K11 (gen_partial) and the y-innovation columns of K (gen_full)
+        # multiply the D0 = 0 of the search, so they must not carry their
+        # start values into the post-fit direct gain
+        t = random_benchmark_system()
+        par = build_parameterization(case, TABLE_DIMS,
+                                     fixed=table_fixed(case))
+        traj = simulate(assemble(t), SimConfig(N=300, seed=4))
+        rng = np.random.default_rng(5)
+        theta0 = 0.05 * rng.standard_normal(par.theta_dim)
+        m = par.decode(theta0)
+        if case == "gen_partial":
+            m.K11 = rng.standard_normal(m.K11.shape)
+        else:
+            m.K[:, :m.p] = rng.standard_normal((m.n, m.p))
+        moved = par.encode(m)
+        assert not np.array_equal(moved, theta0)
+        opt = OptimizerConfig(restarts=1, maxiter=3, seed=0)
+        fits = [identify(par, traj, opt=opt, theta0=th)
+                for th in (theta0, moved)]
+        for name in ("Atil", "Ktil", "Ctil", "D0"):
+            assert np.array_equal(getattr(fits[0].estimator, name),
+                                  getattr(fits[1].estimator, name))
+        assert np.all(fits[0].theta[par.dead] == 0.0)
 
 
 class TestIdentify:
