@@ -33,7 +33,11 @@ from .models import (
     model_to_dict,
     save_model,
 )
-from .realization import innovation_form_details, triangularize
+from .realization import (
+    check_feedback_free,
+    innovation_form_details,
+    triangularize,
+)
 from .simulation import (
     SimConfig,
     load_trajectory,
@@ -42,6 +46,7 @@ from .simulation import (
     trajectory_rng,
 )
 from .sysid import (
+    CASES,
     Dims,
     OptimizerConfig,
     SingleEntryParameterization,
@@ -220,7 +225,8 @@ _GOLDEN_CHAIN = {
     "K": [[0.5, 0.9], [0.49, 0.11]],
 }
 
-# triangular form and estimator, reference values at two decimals
+# triangular form and estimator in the reference state signs (those of
+# example_triangular_model), reference values at two decimals
 _GOLDEN_TRIANGULAR = {
     "A": [[0.85, 0.81], [0.0, 0.5]],
     "K": [[-0.7, -0.71], [0.0, -0.56]],
@@ -232,38 +238,6 @@ _GOLDEN_ESTIMATOR = {
     "Ctil": [[-1.41, 3.53]],
     "D0": [[1.0]],
 }
-
-
-# (rows, columns) of each matrix that transform with the state signs
-_STATE_AXES = {
-    "A": (True, True), "K": (True, False), "C": (False, True),
-    "Atil": (True, True), "Ktil": (True, False), "Ctil": (False, True),
-    "D0": (False, False),
-}
-
-
-def _sign_flip_diff(actual, reference, n, which):
-    """Smallest max-abs difference over per-state sign patterns.
-
-    ``which`` maps each matrix name to (row_states, col_states) flags saying
-    whether rows/columns transform with the state signs.
-    """
-    best = np.inf
-    for bits in range(1 << n):
-        s = np.array([1.0 if bits & (1 << i) else -1.0 for i in range(n)])
-        worst = 0.0
-        for name, ref in reference.items():
-            ref = np.atleast_2d(np.asarray(ref, dtype=float))
-            act = np.atleast_2d(np.asarray(actual[name], dtype=float))
-            rows, cols = which[name]
-            flipped = act.copy()
-            if rows:
-                flipped = s[:, None] * flipped
-            if cols:
-                flipped = flipped * s
-            worst = max(worst, float(np.max(np.abs(flipped - ref))))
-        best = min(best, worst)
-    return best
 
 
 def cmd_reproduce_sec5(args):
@@ -281,20 +255,24 @@ def cmd_reproduce_sec5(args):
         print(f"  max |diff| vs reference {name}: {diff:.4f} "
               f"({'ok' if good else 'MISMATCH'})")
 
-    t = triangularize(res.model, rank_tol=1e-2, tol_fb=1e-2)
-    est = synthesize(t)
+    report = check_feedback_free(res.model, tol_fb=1e-2)
+    print(f"feedback check: free = {report.free}, residual "
+          f"{report.residual:.2e}, p1 = {report.p1}, p2 = {report.p2}")
+
+    t = example_triangular_model()
     for label, suffix, model, golden, tol in (
         ("triangular form", " (triangular)", t, _GOLDEN_TRIANGULAR, 0.02),
-        ("estimator", "", est, _GOLDEN_ESTIMATOR, 0.03),
+        ("estimator", "", synthesize(t), _GOLDEN_ESTIMATOR, 0.03),
     ):
-        actual = {name: getattr(model, name) for name in golden}
-        for name, M in actual.items():
+        diff = 0.0
+        for name, ref in golden.items():
+            M = getattr(model, name)
             _print_matrix(name + suffix, M)
-        diff = _sign_flip_diff(actual, golden, t.n, _STATE_AXES)
+            diff = max(diff, float(np.max(np.abs(M - np.asarray(ref)))))
         good = diff <= tol
         ok &= good
-        print(f"  max |diff| vs reference {label} (modulo state signs): "
-              f"{diff:.4f} ({'ok' if good else 'MISMATCH'})")
+        print(f"  max |diff| vs reference {label}: {diff:.4f} "
+              f"({'ok' if good else 'MISMATCH'})")
     print("all golden values reproduced" if ok
           else "GOLDEN VALUE MISMATCH")
     return 0 if ok else 1
@@ -377,9 +355,7 @@ def _build_parser():
                             "trajectory")
     s.add_argument("trajectory")
     s.add_argument("output", help="fit-result JSON path")
-    s.add_argument("--case", required=True,
-                   choices=["pred_full", "gen_full", "pred_partial",
-                            "gen_partial"])
+    s.add_argument("--case", required=True, choices=CASES)
     s.add_argument("--dims", required=True,
                    help="n,p1,p2,p,q of the parameterization")
     s.add_argument("--truth", default=None,

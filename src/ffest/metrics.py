@@ -1,10 +1,10 @@
-"""Fit metrics: mean squared error, variance accounted for, averaging."""
+"""Fit metrics: mean squared error and variance accounted for."""
 
 import numpy as np
 
 from .errors import UndefinedVafError
 
-__all__ = ["mse", "vaf_components", "average_stats"]
+__all__ = ["mse", "vaf_components"]
 
 
 def _pair(y, yhat):
@@ -34,10 +34,3 @@ def vaf_components(y, yhat):
     var_r = np.var(y - yhat, axis=0)
     return np.maximum(0.0, 1.0 - var_r / var_y) * 100.0
 
-
-def average_stats(values):
-    """Arithmetic mean of per-repetition statistics (MSE or VAF alike)."""
-    values = np.asarray(list(values), dtype=float)
-    if values.size == 0:
-        raise ValueError("cannot average an empty collection")
-    return values.mean(axis=0)

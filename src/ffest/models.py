@@ -31,7 +31,6 @@ __all__ = [
     "ValidationReport",
     "validate",
     "assemble",
-    "extract",
     "flip_state_signs",
     "model_to_dict",
     "model_from_dict",
@@ -334,22 +333,6 @@ def _split(A, K, C, Q, p1, p, T):
         Q11=Q[:p, :p], Q12=Q[:p, p:], Q22=Q[p:, p:],
         T=T, p1=p1, p2=A.shape[0] - p1, p=p, q=C.shape[0] - p,
     )
-
-
-def extract(m, p1, T=None):
-    """Split a joint model with exact lower-left zeros back into blocks.
-
-    Inverse of :func:`assemble`; the lower-left blocks must already be zero.
-    """
-    p = m.p
-    for name, block in (
-        ("A", m.A[p1:, :p1]),
-        ("K", m.K[p1:, :p]),
-        ("C", m.C[p:, :p1]),
-    ):
-        if block.size and np.any(block != 0.0):
-            raise ValidationError(f"lower-left block of {name} is not zero")
-    return _split(m.A, m.K, m.C, m.Q, p1, p, np.eye(m.n) if T is None else T)
 
 
 def flip_state_signs(t: TriangularJointModel, signs) -> TriangularJointModel:

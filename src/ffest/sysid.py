@@ -17,8 +17,9 @@ single_entry   TriangularJointModel  one entry of one block      Q12 Q22^-1
 
 Joint templates are triangularized (projecting away feedback) and
 synthesized into a predictor. "post-fit" cases search with D0 = 0 and
-regress D0 on the w-subsystem innovations after the fit; gen_full also
-estimates Q from its one-step joint residuals. All cases are fitted by
+regress D0 on the w-subsystem innovations after the fit, in
+:meth:`Parameterization.finish`; gen_full also estimates Q there from its
+one-step joint residuals. All cases are fitted by
 minimizing the mean squared one-step prediction error of y with a
 multi-start quasi-Newton optimizer (L-BFGS-B), with a stability barrier on
 the filter matrix. pred_full and gen_full take exact gradients from one
@@ -41,7 +42,7 @@ from scipy.optimize import minimize
 from .errors import FfestError, IdentificationError
 from .estimator import _state_path, filter_signal, synthesize
 from .matkernel import spectral_radius
-from .metrics import average_stats, mse, vaf_components
+from .metrics import mse, vaf_components
 from .models import (
     EstimatorModel,
     InnovationJointModel,
@@ -123,13 +124,12 @@ def _stable(est: EstimatorModel):
             _STAB_PENALTY * (rho - _STAB_LIMIT))
 
 
-def _w_innovations(t: TriangularJointModel, data: Trajectory):
-    """One-step residuals e2hat(t) = w(t) - C22 xbar2(t) of the
-    w-subsystem, with xbar2 driven by w through A22 - K22 C22."""
-    wfilt, _ = _stable(EstimatorModel(Atil=t.A22 - t.K22 @ t.C22,
-                                      Ktil=t.K22, Ctil=t.C22,
-                                      D0=np.zeros((t.q, t.q))))
-    return data.w - filter_signal(wfilt, data.w)
+def _innovations(A, K, C, z):
+    """One-step residuals z(t) - C xhat(t) of the innovation filter
+    xhat+ = (A - K C) xhat + K z, started at xhat = 0."""
+    filt, _ = _stable(EstimatorModel(Atil=A - K @ C, Ktil=K, Ctil=C,
+                                     D0=np.zeros((C.shape[0], C.shape[0]))))
+    return z - filter_signal(filt, z)
 
 
 def _postfit_d0(t: TriangularJointModel, est0: EstimatorModel,
@@ -140,7 +140,7 @@ def _postfit_d0(t: TriangularJointModel, est0: EstimatorModel,
     afterwards the remaining prediction residual is regressed on the
     w-subsystem innovations, which consistently recovers Q12 Q22^-1.
     """
-    e2 = _w_innovations(t, data)
+    e2 = _innovations(t.A22, t.K22, t.C22, data.w)
     r = data.y - filter_signal(est0, data.w)
     burn = min(50, data.N // 5)
     sol, *_ = np.linalg.lstsq(e2[burn:], r[burn:], rcond=None)
@@ -156,7 +156,8 @@ class Parameterization:
     value. ``dead`` maps fields to masks of free entries that the objective
     cannot see; ``self.dead`` marks them in theta. ``estimator_for(theta)
     -> (EstimatorModel, penalty)`` is the predictor the objective filters
-    with.
+    with; ``finish(theta, data) -> (model, EstimatorModel)`` is what a fit
+    reports.
     """
 
     def __init__(self, case, dims, template, free, dead=None):
@@ -209,34 +210,24 @@ class Parameterization:
     def estimator_for(self, theta):
         return _stable(self._stages(theta)[3])
 
-    def final_estimator(self, theta, data=None):
-        """Estimator reported after the fit; generator cases refine the
-        direct gain from data residuals here."""
-        _, tri, _, pred = self._stages(theta)
+    def finish(self, theta, data):
+        """The identified model and the estimator reported after the fit,
+        as ``(model, estimator)``. Generator cases regress the direct gain
+        on the residuals of ``data`` and embed it in a triangular model as
+        Q12 = D0 Q22; gen_full estimates its innovation covariance Q from
+        its one-step joint residuals."""
+        model, tri, _, pred = self._stages(theta)
         est = _stable(pred)[0]
-        if not self._postfit or data is None:
-            return est
-        return _stable(synthesize(tri, D0=_postfit_d0(tri, est, data)))[0]
-
-    def finalize_model(self, theta, data=None):
-        """Identified model for reporting; generator cases estimate the
-        noise statistics they were fitted without."""
-        model = self.decode(theta)
-        if not self._postfit or data is None:
-            return model
+        if not self._postfit:
+            return model, est
+        D0 = _postfit_d0(tri, est, data)
+        est = _stable(synthesize(tri, D0=D0))[0]
         if isinstance(model, TriangularJointModel):
-            # embed the post-fit direct gain as Q12 = D0 Q22
-            D0 = _postfit_d0(model, self.estimator_for(theta)[0], data)
-            return replace(model, Q12=D0 @ model.Q22)
-        # one-step joint residuals give the innovation covariance estimate
-        r = model.p + model.q
-        joint, _ = _stable(EstimatorModel(Atil=model.A - model.K @ model.C,
-                                          Ktil=model.K, Ctil=model.C,
-                                          D0=np.zeros((r, r))))
-        z = np.hstack([data.y, data.w])
-        resid = z - filter_signal(joint, z)
+            return replace(model, Q12=D0 @ model.Q22), est
+        resid = _innovations(model.A, model.K, model.C,
+                             np.hstack([data.y, data.w]))
         burn = min(100, data.N // 10)
-        return replace(model, Q=np.atleast_2d(np.cov(resid[burn:].T)))
+        return replace(model, Q=np.atleast_2d(np.cov(resid[burn:].T))), est
 
 
 class SingleEntryParameterization(Parameterization):
@@ -531,11 +522,11 @@ def identify(par: Parameterization, data: Trajectory,
         raise IdentificationError(
             "all optimizer starts diverged", diagnostics=messages
         )
-    est = par.final_estimator(best.x, data)
+    model, est = par.finish(best.x, data)
     training = mse(data.y, filter_signal(est, data.w))
     return FitResult(
         theta=best.x,
-        model=par.finalize_model(best.x, data),
+        model=model,
         estimator=est,
         training_mse=training,
         iterations=total_iters,
@@ -634,13 +625,12 @@ def _aggregate(rows, cases, Ns):
                 continue
             training = [r.training_mse for r in cell
                         if r.training_mse is not None]
-            vaf = average_stats([r.vaf for r in cell])
+            vaf = np.mean([r.vaf for r in cell], axis=0)
             agg[(case, N)] = {
-                "training_mse": (float(average_stats(training))
+                "training_mse": (float(np.mean(training))
                                  if training else None),
                 "validation_mse": float(
-                    average_stats([r.validation_mse for r in cell])
-                ),
+                    np.mean([r.validation_mse for r in cell])),
                 **{f"vaf{i+1}": float(v) for i, v in enumerate(vaf)},
                 "mean_vaf": float(np.mean(vaf)),
                 "repetitions": len(cell),

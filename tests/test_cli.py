@@ -229,6 +229,17 @@ class TestReproduce:
         assert "MISMATCH" not in out
         assert "all golden values reproduced" in out
 
+    def test_sec5_feedback_check_and_reference_signs(self, capsys):
+        assert main(["reproduce", "sec5"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        feedback = [ln for ln in lines if ln.startswith("feedback check:")]
+        assert len(feedback) == 1
+        assert "free = True" in feedback[0]
+        assert "p1 = 1, p2 = 1" in feedback[0]
+        # the triangular blocks print in the reference signs: A12 = +0.81
+        a = lines.index("A (triangular) =")
+        assert lines[a + 1].split() == ["0.8537", "0.8084"]
+
     def test_sec5_rejects_benchmark_options(self, capsys):
         # the benchmark options belong to "reproduce sysid" alone
         with pytest.raises(SystemExit) as exc:

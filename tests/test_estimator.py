@@ -18,8 +18,7 @@ from ffest import (
     synthesize,
     triangularize,
 )
-from ffest.cli import _GOLDEN_ESTIMATOR
-from ffest.cli import _sign_flip_diff as sign_flip_min_diff
+from ffest.cli import _GOLDEN_ESTIMATOR, example_triangular_model
 from ffest.errors import FeedbackViolationError, IndefiniteCovarianceError
 
 # independently computed estimator for the worked example (frozen, in the
@@ -64,16 +63,11 @@ class TestSynthesize:
         assert np.allclose(e.Ktil, KTIL_ORACLE, atol=1e-6)
         assert np.allclose(e.Ctil, CTIL_ORACLE, atol=1e-6)
 
-    def test_example_matches_reference_up_to_sign(self, example_estimator):
-        e = example_estimator
-        diff = sign_flip_min_diff(
-            {"Atil": e.Atil, "Ktil": e.Ktil, "Ctil": e.Ctil, "D0": e.D0},
-            _GOLDEN_ESTIMATOR,
-            n=2,
-            which={"Atil": (True, True), "Ktil": (True, False),
-                   "Ctil": (False, True), "D0": (False, False)},
-        )
-        assert diff <= 0.03
+    def test_example_matches_reference_up_to_sign(self):
+        # in the reference state signs, the estimator matches entrywise
+        e = synthesize(example_triangular_model())
+        for name, ref in _GOLDEN_ESTIMATOR.items():
+            assert np.max(np.abs(getattr(e, name) - np.asarray(ref))) <= 0.03
         assert abs(e.D0[0, 0] - 1.0) <= 0.03
 
     def test_decoupled_noise(self):

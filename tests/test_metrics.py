@@ -1,9 +1,9 @@
-"""Fit metrics: MSE, per-component VAF, averaging."""
+"""Fit metrics: MSE and per-component VAF."""
 
 import numpy as np
 import pytest
 
-from ffest import average_stats, mse, vaf_components
+from ffest import mse, vaf_components
 from ffest.errors import UndefinedVafError
 
 
@@ -41,15 +41,3 @@ class TestVaf:
         with pytest.raises(UndefinedVafError):
             vaf_components(np.ones((10, 1)), np.zeros((10, 1)))
 
-
-class TestAverageStats:
-    def test_mean(self):
-        assert average_stats([1.0, 2.0, 3.0]) == pytest.approx(2.0)
-
-    def test_vector_mean(self):
-        out = average_stats([np.array([1.0, 3.0]), np.array([3.0, 5.0])])
-        assert np.allclose(out, [2.0, 4.0])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            average_stats([])

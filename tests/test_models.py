@@ -10,7 +10,6 @@ from ffest import (
     Trajectory,
     TriangularJointModel,
     assemble,
-    extract,
     flip_state_signs,
     load_model,
     model_from_dict,
@@ -43,14 +42,14 @@ def make_triangular():
 
 def make_triangular_blocks(p1, p2):
     """Triangular model with p = q = 1 and the partition (p1, p2)."""
-    n = p1 + p2
-    K = np.full((n, 2), 0.1)
-    K[p1:, 0] = 0.0
-    C = np.ones((2, n))
-    C[1, :p1] = 0.0
-    return extract(InnovationJointModel(A=0.5 * np.eye(n), K=K, C=C,
-                                        Q=[[2.0, 1.0], [1.0, 1.0]], p=1, q=1),
-                   p1=p1)
+    return TriangularJointModel(
+        A11=0.5 * np.eye(p1), A12=np.zeros((p1, p2)), A22=0.5 * np.eye(p2),
+        K11=np.full((p1, 1), 0.1), K12=np.full((p1, 1), 0.1),
+        K22=np.full((p2, 1), 0.1),
+        C11=np.ones((1, p1)), C12=np.ones((1, p2)), C22=np.ones((1, p2)),
+        Q11=[[2.0]], Q12=[[1.0]], Q22=[[1.0]],
+        T=np.eye(p1 + p2), p1=p1, p2=p2, p=1, q=1,
+    )
 
 
 def make_empty_estimator():
@@ -115,16 +114,8 @@ class TestAssembleExtract:
         m = assemble(t)
         assert np.allclose(m.A, [[0.5, 0.1], [0.0, 0.3]])
         assert np.allclose(m.Q, [[2.0, 1.0], [1.0, 1.0]])
-        back = extract(m, p1=1)
-        for name in ("A11", "A12", "A22", "K11", "K12", "K22",
-                     "C11", "C12", "C22", "Q11", "Q12", "Q22"):
-            assert np.allclose(getattr(back, name), getattr(t, name))
-
-    def test_extract_rejects_nonzero_lower_left(self):
-        m = make_innovation()
-        m.A = np.array([[0.5, 0.1], [0.2, 0.3]])
-        with pytest.raises(ValidationError):
-            extract(m, p1=1)
+        assert np.allclose(m.K, [[0.2, 0.1], [0.0, 0.4]])
+        assert np.allclose(m.C, [[1.0, 0.5], [0.0, 1.0]])
 
     def test_flip_state_signs_preserves_dynamics(self):
         t = make_triangular()

@@ -350,7 +350,8 @@ class TestIdentify:
                                      fixed={"C": m.C})
         traj = simulate(m, SimConfig(N=4000, seed=0))
         theta = par.encode(m)
-        Q = par.finalize_model(theta, traj).Q
+        model, est = par.finish(theta, traj)
+        Q = model.Q
         # oracle: the joint innovation filter run sample by sample
         z = np.hstack([traj.y, traj.w])
         F = m.A - m.K @ m.C
@@ -366,7 +367,6 @@ class TestIdentify:
         sd = np.sqrt((np.outer(var, var) + m.Q ** 2) / traj.N)
         assert np.all(np.abs(Q - m.Q) <= 4.0 * sd)
         D0_true = np.linalg.solve(t.Q22.T, t.Q12.T).T
-        est = par.final_estimator(theta, traj)
         assert np.max(np.abs(est.D0 - D0_true)) <= 0.15
 
 
