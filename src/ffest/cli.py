@@ -151,7 +151,7 @@ def cmd_identify(args):
     if args.truth is not None:
         truth = _load(args.truth, TriangularJointModel, InnovationJointModel)
         if isinstance(truth, InnovationJointModel):
-            truth = triangularize(truth, p2=dims.p2, on_violation="project")
+            truth = triangularize(truth, tol_fb=np.inf, p2=dims.p2)
         fixed = known_blocks(args.case, truth)
     par = build_parameterization(args.case, dims, fixed=fixed)
     opt = OptimizerConfig(restarts=args.restarts, maxiter=args.maxiter,
@@ -240,50 +240,49 @@ _GOLDEN_ESTIMATOR = {
 }
 
 
+def _compare(label, suffix, model, golden, tol):
+    """Print ``model``'s ``golden`` matrices and their largest error."""
+    diff = 0.0
+    for name, ref in golden.items():
+        M = getattr(model, name)
+        _print_matrix(name + suffix, M)
+        diff = max(diff, float(np.max(np.abs(M - np.asarray(ref)))))
+    good = diff <= tol
+    print(f"  max |diff| vs reference {label}: {diff:.4f} "
+          f"({'ok' if good else 'MISMATCH'})")
+    return good
+
+
 def cmd_reproduce_sec5(args):
     print("two-state worked example: driven model -> innovation form "
           "-> triangular form -> estimator")
     res = innovation_form_details(_EXAMPLE_SYSTEM)
-    actual_chain = {"P": res.P, "Cbar": res.Cbar, "Lambda0": res.Lambda0,
-                    "Pi": res.Pi, "Delta": res.Delta, "K": res.K}
-    ok = True
-    for name, ref in _GOLDEN_CHAIN.items():
-        _print_matrix(name, actual_chain[name])
-        diff = float(np.max(np.abs(actual_chain[name] - np.asarray(ref))))
-        good = diff <= 0.02
-        ok &= good
-        print(f"  max |diff| vs reference {name}: {diff:.4f} "
-              f"({'ok' if good else 'MISMATCH'})")
+    ok = all([_compare(name, "", res, {name: ref}, 0.02)
+              for name, ref in _GOLDEN_CHAIN.items()])
 
     report = check_feedback_free(res.model, tol_fb=1e-2)
     print(f"feedback check: free = {report.free}, residual "
           f"{report.residual:.2e}, p1 = {report.p1}, p2 = {report.p2}")
 
-    t = example_triangular_model()
-    for label, suffix, model, golden, tol in (
-        ("triangular form", " (triangular)", t, _GOLDEN_TRIANGULAR, 0.02),
-        ("estimator", "", synthesize(t), _GOLDEN_ESTIMATOR, 0.03),
-    ):
-        diff = 0.0
-        for name, ref in golden.items():
-            M = getattr(model, name)
-            _print_matrix(name + suffix, M)
-            diff = max(diff, float(np.max(np.abs(M - np.asarray(ref)))))
-        good = diff <= tol
-        ok &= good
-        print(f"  max |diff| vs reference {label}: {diff:.4f} "
-              f"({'ok' if good else 'MISMATCH'})")
+    t = _example_triangular(res.model)
+    ok &= _compare("triangular form", " (triangular)", t,
+                   _GOLDEN_TRIANGULAR, 0.02)
+    ok &= _compare("estimator", "", synthesize(t), _GOLDEN_ESTIMATOR, 0.03)
     print("all golden values reproduced" if ok
           else "GOLDEN VALUE MISMATCH")
     return 0 if ok else 1
 
 
-def example_triangular_model() -> TriangularJointModel:
-    """Triangular form of the worked example, in the reference sign
-    convention (second-decimal agreement with the printed blocks)."""
-    res = innovation_form_details(_EXAMPLE_SYSTEM)
-    t = triangularize(res.model, rank_tol=1e-2, tol_fb=1e-2)
+def _example_triangular(inn: InnovationJointModel) -> TriangularJointModel:
+    """Triangular form of the worked example's innovation model ``inn`` in
+    the reference signs (second-decimal agreement with the printed blocks)."""
+    t = triangularize(inn, rank_tol=1e-2, tol_fb=1e-2)
     return flip_state_signs(t, [-1.0, 1.0])
+
+
+def example_triangular_model() -> TriangularJointModel:
+    """Triangular form of the worked example, in the reference signs."""
+    return _example_triangular(innovation_form_details(_EXAMPLE_SYSTEM).model)
 
 
 def cmd_reproduce_sysid(args):

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.signal import lfilter
 
 from .errors import IndefiniteCovarianceError
-from .models import EstimatorModel, TriangularJointModel
+from .models import EstimatorModel, InnovationJointModel, TriangularJointModel
 
 __all__ = [
     "compute_d0",
@@ -106,20 +106,20 @@ def filter_signal(e: EstimatorModel, w, x0=None):
     return yhat
 
 
-def joint_one_step_prediction(t: TriangularJointModel, traj, x0=None):
+def joint_one_step_prediction(m: InnovationJointModel | TriangularJointModel,
+                              traj, x0=None):
     """Best one-step prediction of y from the joint past plus current w.
 
-    Runs the joint innovation filter x+ = (A - K C) x + K z over the stacked
-    observations z = [y; w] and returns
+    Runs the joint innovation filter x+ = (A - K C) x + K z of any joint
+    innovation model over the stacked observations z = [y; w] and returns
 
         yhat(t) = C_y x(t) + D0 (w(t) - C_w x(t)),   D0 = Q12 Q22^-1.
 
     Started from the true initial state this reproduces the state exactly,
     and y - yhat equals e1 - D0 e2 (the innovation of the stochastic part of
-    y) to machine precision.
+    y) to machine precision; no triangular form is needed.
     """
-    A, K, C = t.A, t.K, t.C
-    D0 = compute_d0(t.Q12, t.Q22)
-    p = t.p
+    A, K, C, Q, p = m.A, m.K, m.C, m.Q, m.p
+    D0 = compute_d0(Q[:p, p:], Q[p:, p:])
     X = _state_path(A - K @ C, K, np.hstack([traj.y, traj.w]), x0)
     return X @ C[:p].T + (traj.w - X @ C[p:].T) @ D0.T

@@ -239,7 +239,6 @@ class Trajectory:
     w: np.ndarray
     x: np.ndarray | None = None
     e: np.ndarray | None = None
-    seed: int | None = None
 
     def __post_init__(self):
         self.y = np.atleast_2d(np.asarray(self.y, dtype=float))

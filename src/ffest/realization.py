@@ -139,19 +139,18 @@ def triangularize(
     rank_tol=1e-6,
     tol_fb=1e-6,
     p2=None,
-    on_violation="raise",
 ) -> TriangularJointModel:
     """Block-triangularize a joint innovation model.
 
     ``p2`` defaults to the numerical rank of the observability matrix of
     (A, C_w) at ``rank_tol``. Sub-tolerance lower-left blocks are zeroed
-    exactly. With ``on_violation="project"`` the blocks are zeroed
-    regardless of the residual (for identified models, which are
-    generically not feedback-free; identification's search projects its
-    iterates through :func:`_transform` directly, to reuse the SVD).
+    exactly, larger ones raise. ``tol_fb=np.inf`` projects: it zeroes them
+    regardless of the residual (for identified models, which are generically
+    not feedback-free; identification's search projects its iterates
+    through :func:`_transform` directly, to reuse the SVD).
     """
     T, Abar, Kbar, Cbar, p1, p2, residual, _ = _transform(m, rank_tol, p2=p2)
-    if residual > tol_fb and on_violation == "raise":
+    if residual > tol_fb:
         raise FeedbackViolationError(
             f"no-feedback condition violated: lower-left residual "
             f"{residual:.3g} > {tol_fb:.3g}",

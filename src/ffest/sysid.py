@@ -51,7 +51,7 @@ from .models import (
     _split,
     assemble,
 )
-from .realization import _transform, observability_matrix, triangularize
+from .realization import _transform, observability_matrix
 from .simulation import SimConfig, simulate, trajectory_rng
 
 __all__ = [
@@ -681,8 +681,8 @@ def _benchmark_cell(t_true, case, N, ni, rep, seed, opt, N_val):
         )
 
 
-def benchmark(system, cases=CASES, Ns=(150, 1000), M=20, seed=0,
-              opt: OptimizerConfig | None = None, N_val=1000,
+def benchmark(system: TriangularJointModel, cases=CASES, Ns=(150, 1000),
+              M=20, seed=0, opt: OptimizerConfig | None = None, N_val=1000,
               workers=1) -> BenchmarkResult:
     """Identify every case on M independent trainings per sample size.
 
@@ -692,21 +692,17 @@ def benchmark(system, cases=CASES, Ns=(150, 1000), M=20, seed=0,
     validation data. ``workers`` > 1 distributes cells over processes;
     results are invariant to the worker count.
     """
-    if isinstance(system, InnovationJointModel):
-        t_true = triangularize(system)
-    else:
-        t_true = system
-    dims = Dims(t_true.n, t_true.p1, t_true.p2, t_true.p, t_true.q)
+    dims = Dims(system.n, system.p1, system.p2, system.p, system.q)
     # benchmark budget: lighter than the identify default, documented here
     opt = opt or OptimizerConfig(restarts=0, maxiter=20)
 
     theta_dims = {"case0": 0}
     for case in cases:
         theta_dims[case] = build_parameterization(
-            case, dims, fixed=known_blocks(case, t_true)).theta_dim
+            case, dims, fixed=known_blocks(case, system)).theta_dim
     all_cases = ["case0"] + list(cases)
     tasks = [
-        (t_true, case, N, ni, rep, seed, opt, N_val)
+        (system, case, N, ni, rep, seed, opt, N_val)
         for ni, N in enumerate(Ns)
         for rep in range(M)
         for case in all_cases
@@ -720,7 +716,7 @@ def benchmark(system, cases=CASES, Ns=(150, 1000), M=20, seed=0,
         rows = [_benchmark_cell(*task) for task in tasks]
     agg = _aggregate(rows, all_cases, list(Ns))
     return BenchmarkResult(
-        system=t_true, cases=all_cases, Ns=list(Ns), M=M, seed=seed,
+        system=system, cases=all_cases, Ns=list(Ns), M=M, seed=seed,
         rows=rows, aggregate=agg, theta_dims=theta_dims,
     )
 

@@ -1,9 +1,26 @@
-"""Shared fixtures: the 2-state worked example and derived forms."""
+"""Shared fixtures: the 2-state worked example and derived forms, plus a
+small exactly-triangular 2-state test model."""
 
+import numpy as np
 import pytest
 
-from ffest import innovation_form_details, synthesize, triangularize
+from ffest import (InnovationJointModel, TriangularJointModel,
+                   innovation_form_details, synthesize, triangularize)
 from ffest.cli import _EXAMPLE_SYSTEM
+
+
+def make_triangular(**over):
+    """Exactly-triangular model with p1 = p2 = p = q = 1; keyword
+    arguments replace blocks."""
+    base = dict(
+        A11=[[0.5]], A12=[[0.1]], A22=[[0.3]],
+        K11=[[0.2]], K12=[[0.1]], K22=[[0.4]],
+        C11=[[1.0]], C12=[[0.5]], C22=[[1.0]],
+        Q11=[[2.0]], Q12=[[1.0]], Q22=[[1.0]],
+        T=np.eye(2), p1=1, p2=1, p=1, q=1,
+    )
+    base.update(over)
+    return TriangularJointModel(**base)
 
 
 @pytest.fixture(scope="session")
@@ -23,6 +40,17 @@ def example_innovation(example_chain):
 
 
 @pytest.fixture(scope="session")
+def example_swapped(example_innovation):
+    """The worked example with the roles of y and w exchanged, which has
+    feedback from the new y to the new w."""
+    m = example_innovation
+    return InnovationJointModel(
+        A=m.A, K=m.K[:, ::-1], C=m.C[::-1, :], Q=m.Q[::-1, :][:, ::-1],
+        p=1, q=1,
+    )
+
+
+@pytest.fixture(scope="session")
 def example_triangular(example_innovation):
     # the worked example satisfies the no-feedback condition only to about
     # 6e-4 (it is a system rounded to two decimals), hence the loose tolerances
@@ -32,4 +60,3 @@ def example_triangular(example_innovation):
 @pytest.fixture(scope="session")
 def example_estimator(example_triangular):
     return synthesize(example_triangular)
-

@@ -11,7 +11,9 @@ from ffest import (
     StateSpaceModel,
     load_model,
     load_trajectory,
+    markov_parameters,
     save_model,
+    synthesize,
 )
 from ffest.cli import _EXAMPLE_SYSTEM, _build_parser, main
 
@@ -111,6 +113,18 @@ class TestSynthesize:
         assert payload["error"] == "FeedbackViolationError"
         assert payload["residual"] > 1e-6
 
+    def test_triangular_input(self, tmp_path, example_triangular, capsys):
+        # a triangular file is assembled and triangularized again; its
+        # estimator has the same impulse response and direct gain
+        path, out = tmp_path / "tri.json", tmp_path / "est.json"
+        save_model(example_triangular, path)
+        assert main(["synthesize", str(path), str(out)]) == 0
+        assert "partition: p1 = 1, p2 = 1" in capsys.readouterr().out
+        est, ref = load_model(out), synthesize(example_triangular)
+        assert np.max(np.abs(est.D0 - ref.D0)) <= 1e-12
+        h = [markov_parameters(e.Atil, e.Ktil, e.Ctil, 8) for e in (est, ref)]
+        assert np.max(np.abs(h[0] - h[1])) <= 1e-10
+
 
 class TestSimulateAndFilter:
     def test_simulate_filter_pipeline(self, tmp_path, innovation_json,
@@ -189,6 +203,25 @@ class TestIdentify:
         assert doc["estimator"]["kind"] == "estimator"
         assert doc["model"]["kind"] == "triangular_joint"
 
+    def test_innovation_truth_is_projected(self, tmp_path, innovation_json,
+                                           example_triangular):
+        # an innovation-form truth is projected onto triangular form at the
+        # given p2; for the worked example that is its triangular form
+        traj = tmp_path / "traj.csv"
+        tri = tmp_path / "tri.json"
+        assert main(["simulate", str(innovation_json), str(traj),
+                     "--n", "200", "--seed", "1"]) == 0
+        save_model(example_triangular, tri)
+        docs = []
+        for truth in (innovation_json, tri):
+            out = tmp_path / "fit.json"
+            assert main(["identify", str(traj), str(out),
+                         "--case", "gen_partial", "--dims", "2,1,1,1,1",
+                         "--truth", str(truth),
+                         "--restarts", "0", "--maxiter", "5"]) == 0
+            docs.append(json.loads(out.read_text()))
+        assert docs[0] == docs[1]
+
     def test_bad_dims_exit_2(self, tmp_path, innovation_json, capsys):
         traj = tmp_path / "traj.csv"
         assert main(["simulate", str(innovation_json), str(traj),
@@ -223,6 +256,16 @@ class TestBenchmarkCommand:
 
 
 class TestReproduce:
+    def test_sysid_runs(self, tmp_path, capsys):
+        assert main(["reproduce", "sysid", "--M", "1", "--N", "80",
+                     "--maxiter", "2", "--out-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        for head in ("  theta true      = ", "  theta estimated = ",
+                     "  estimator coupling Atil12 = theta + "):
+            assert sum(ln.startswith(head) for ln in out.splitlines()) == 1
+        for suffix in ("rows", "table", "curve"):
+            assert (tmp_path / f"reproduce_sysid_{suffix}.csv").exists()
+
     def test_sec5_golden_values(self, capsys):
         assert main(["reproduce", "sec5"]) == 0
         out = capsys.readouterr().out

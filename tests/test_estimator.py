@@ -21,26 +21,14 @@ from ffest import (
 from ffest.cli import _GOLDEN_ESTIMATOR, example_triangular_model
 from ffest.errors import FeedbackViolationError, IndefiniteCovarianceError
 
+from conftest import make_triangular
+
 # independently computed estimator for the worked example (frozen, in the
 # triangularize() output's own sign convention)
 D0_ORACLE = 0.9943281732
 ATIL_ORACLE = np.array([[0.8537034448, 1.6801361354], [0.0, -0.488744052]])
 KTIL_ORACLE = np.array([[1.4133593754], [-0.559456536]])
 CTIL_ORACLE = np.array([[1.4061001019, 3.5249506593]])
-
-
-def make_triangular(**over):
-    from ffest import TriangularJointModel
-
-    base = dict(
-        A11=[[0.5]], A12=[[0.1]], A22=[[0.3]],
-        K11=[[0.2]], K12=[[0.1]], K22=[[0.4]],
-        C11=[[1.0]], C12=[[0.5]], C22=[[1.0]],
-        Q11=[[2.0]], Q12=[[1.0]], Q22=[[1.0]],
-        T=np.eye(2), p1=1, p2=1, p=1, q=1,
-    )
-    base.update(over)
-    return TriangularJointModel(**base)
 
 
 class TestComputeD0:
@@ -106,14 +94,10 @@ class TestSynthesize:
 
 
 class TestSynthesizeFromJoint:
-    def test_violation_propagates(self, example_innovation):
-        m = example_innovation
-        swapped = InnovationJointModel(
-            A=m.A, K=m.K[:, ::-1], C=m.C[::-1, :], Q=m.Q[::-1, :][:, ::-1],
-            p=1, q=1,
-        )
+    def test_violation_propagates(self, example_swapped):
         with pytest.raises(FeedbackViolationError):
-            synthesize(triangularize(swapped, rank_tol=1e-2, tol_fb=1e-2))
+            synthesize(triangularize(example_swapped, rank_tol=1e-2,
+                                     tol_fb=1e-2))
 
     def test_similarity_invariance(self, example_innovation,
                                    example_estimator):
@@ -205,3 +189,11 @@ class TestJointOneStepPrediction:
         yhat = joint_one_step_prediction(t, traj, x0=traj.x[0])
         es = traj.e[:, :1] - traj.e[:, 1:] @ D0.T
         assert np.max(np.abs((traj.y - yhat) - es)[100:]) <= 1e-6
+
+    def test_joint_model_as_given(self):
+        # the assembled joint model predicts bit for bit as its blocks do
+        t = make_triangular()
+        traj = simulate(assemble(t), SimConfig(N=500, seed=3))
+        assert np.array_equal(
+            joint_one_step_prediction(assemble(t), traj, x0=traj.x[0]),
+            joint_one_step_prediction(t, traj, x0=traj.x[0]))

@@ -19,6 +19,8 @@ from ffest import (
 )
 from ffest.errors import ModelFormatError, ValidationError
 
+from conftest import make_triangular
+
 
 def make_innovation():
     return InnovationJointModel(
@@ -27,16 +29,6 @@ def make_innovation():
         C=np.array([[1.0, 0.5], [0.0, 1.0]]),
         Q=np.array([[2.0, 1.0], [1.0, 1.0]]),
         p=1, q=1,
-    )
-
-
-def make_triangular():
-    return TriangularJointModel(
-        A11=[[0.5]], A12=[[0.1]], A22=[[0.3]],
-        K11=[[0.2]], K12=[[0.1]], K22=[[0.4]],
-        C11=[[1.0]], C12=[[0.5]], C22=[[1.0]],
-        Q11=[[2.0]], Q12=[[1.0]], Q22=[[1.0]],
-        T=np.eye(2), p1=1, p2=1, p=1, q=1,
     )
 
 

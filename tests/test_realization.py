@@ -120,13 +120,8 @@ class TestCheckFeedbackFree:
         assert report.free
         assert (report.p1, report.p2) == (1, 1)
 
-    def test_role_swap_breaks_freeness(self, example_innovation):
-        m = example_innovation
-        swapped = InnovationJointModel(
-            A=m.A, K=m.K[:, ::-1], C=m.C[::-1, :], Q=m.Q[::-1, :][:, ::-1],
-            p=1, q=1,
-        )
-        assert not check_feedback_free(swapped, tol_fb=1e-2).free
+    def test_role_swap_breaks_freeness(self, example_swapped):
+        assert not check_feedback_free(example_swapped, tol_fb=1e-2).free
 
     def test_block_diagonal_is_free(self):
         m = InnovationJointModel(
@@ -192,24 +187,14 @@ class TestTriangularize:
         e_out = np.sort(np.linalg.eigvals(example_triangular.A))
         assert np.allclose(e_in, e_out, atol=0.01)
 
-    def test_violation_raises_with_details(self, example_innovation):
-        m = example_innovation
-        swapped = InnovationJointModel(
-            A=m.A, K=m.K[:, ::-1], C=m.C[::-1, :], Q=m.Q[::-1, :][:, ::-1],
-            p=1, q=1,
-        )
+    def test_violation_raises_with_details(self, example_swapped):
         with pytest.raises(FeedbackViolationError) as exc:
-            triangularize(swapped, rank_tol=1e-2, tol_fb=1e-2)
+            triangularize(example_swapped, rank_tol=1e-2, tol_fb=1e-2)
         assert exc.value.residual > 1e-2
         assert exc.value.p1 + exc.value.p2 == 2
 
-    def test_project_mode_never_raises(self, example_innovation):
-        m = example_innovation
-        swapped = InnovationJointModel(
-            A=m.A, K=m.K[:, ::-1], C=m.C[::-1, :], Q=m.Q[::-1, :][:, ::-1],
-            p=1, q=1,
-        )
-        t = triangularize(swapped, on_violation="project")
+    def test_project_mode_never_raises(self, example_swapped):
+        t = triangularize(example_swapped, tol_fb=np.inf)
         assert t.p1 + t.p2 == 2
 
     def test_exactly_free_system_tiny_residual(self):

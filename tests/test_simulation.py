@@ -1,11 +1,14 @@
 """Trajectory generation, diagnostics, CSV round-trip, determinism."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from ffest import (
     SimConfig,
     Trajectory,
+    assemble,
     innovation_diagnostics,
     load_trajectory,
     save_trajectory,
@@ -13,6 +16,8 @@ from ffest import (
     trajectory_rng,
 )
 from ffest.errors import ValidationError
+
+from conftest import make_triangular
 
 
 class TestSimConfig:
@@ -107,33 +112,47 @@ class TestSimulate:
 class TestDiagnostics:
     def test_simulated_example_passes(self, example_innovation):
         traj = simulate(example_innovation, SimConfig(N=100_000, seed=8))
-        # loose rank_tol: the example's w-observability matrix is nearly
-        # singular, and the default tolerance would keep both directions
-        rep = innovation_diagnostics(example_innovation, traj, rank_tol=1e-2)
+        rep = innovation_diagnostics(example_innovation, traj)
         assert rep.whiteness_ok
         assert rep.state_orthogonality_ok
         assert rep.ok
         assert not rep.low_sample_warning
         assert rep.es_identity_residual is not None
-        # the example is only approximately feedback-free, so the identity
-        # holds at the size of the projection error, not machine precision
-        assert rep.es_identity_residual <= 0.2
+        assert rep.es_identity_residual <= 1e-10
+
+    @pytest.mark.parametrize("model", ["example_innovation",
+                                       "example_swapped"],
+                             ids=["example", "swapped"])
+    def test_es_identity_exact_as_given(self, request, model):
+        # the identity needs no triangular form: it holds to rounding on
+        # the worked example and on its role swap, which has feedback
+        m = request.getfixturevalue(model)
+        traj = simulate(m, SimConfig(N=5000, seed=8))
+        rep = innovation_diagnostics(m, traj)
+        assert rep.es_identity_residual is not None
+        assert rep.es_identity_residual <= 1e-10
 
     def test_es_identity_exact_on_free_model(self):
-        from ffest import TriangularJointModel, assemble
-
-        t = TriangularJointModel(
-            A11=[[0.5]], A12=[[0.1]], A22=[[0.3]],
-            K11=[[0.2]], K12=[[0.1]], K22=[[0.4]],
-            C11=[[1.0]], C12=[[0.5]], C22=[[1.0]],
-            Q11=[[2.0]], Q12=[[1.0]], Q22=[[1.0]],
-            T=np.eye(2), p1=1, p2=1, p=1, q=1,
-        )
-        m = assemble(t)
+        m = assemble(make_triangular())
         traj = simulate(m, SimConfig(N=5000, seed=8))
         rep = innovation_diagnostics(m, traj)
         assert rep.es_identity_residual is not None
         assert rep.es_identity_residual <= 1e-6
+
+    @pytest.mark.parametrize("case", ["x-width", "singular-q22"])
+    def test_identity_error_becomes_note(self, example_innovation, case):
+        m = example_innovation
+        traj = simulate(m, SimConfig(N=500, seed=8))
+        if case == "x-width":  # a state one column too wide
+            traj = Trajectory(y=traj.y, w=traj.w, e=traj.e,
+                              x=np.hstack([traj.x, traj.x[:, :1]]))
+        else:
+            m = replace(m, Q=np.diag([2.0, 0.0]))
+        rep = innovation_diagnostics(m, traj)
+        assert rep.es_identity_residual is None
+        assert any(n.startswith("es identity not evaluated")
+                   for n in rep.notes)
+        assert rep.e_state_corr.shape == (11,)
 
     def test_moving_average_noise_fails_lag_one(self, example_innovation):
         traj = simulate(example_innovation, SimConfig(N=100_000, seed=8))
@@ -154,6 +173,12 @@ class TestDiagnostics:
         bare = Trajectory(y=np.zeros((10, 1)), w=np.zeros((10, 1)))
         with pytest.raises(ValidationError):
             innovation_diagnostics(example_innovation, bare)
+
+    def test_requires_samples(self, example_innovation):
+        empty = Trajectory(y=np.zeros((0, 1)), w=np.zeros((0, 1)),
+                           x=np.zeros((0, 2)), e=np.zeros((0, 2)))
+        with pytest.raises(ValidationError):
+            innovation_diagnostics(example_innovation, empty)
 
 
 class TestTrajectoryCsv:
