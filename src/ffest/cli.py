@@ -43,7 +43,6 @@ from .simulation import (
     load_trajectory,
     save_trajectory,
     simulate,
-    trajectory_rng,
 )
 from .sysid import (
     CASES,
@@ -72,7 +71,7 @@ def _print_matrix(name, M):
 
 def _fail_payload(exc):
     payload = {"error": type(exc).__name__, "message": str(exc)}
-    for attr in ("residual", "p1", "p2", "spectral_radius"):
+    for attr in ("residual", "p1", "p2", "spectral_radius", "diagnostics"):
         v = getattr(exc, attr, None)
         if v is not None:
             payload[attr] = v
@@ -103,10 +102,9 @@ def cmd_innovation_form(args):
 
 
 def cmd_synthesize(args):
-    m = _load(args.input, InnovationJointModel, TriangularJointModel)
-    if isinstance(m, TriangularJointModel):
-        m = assemble(m)
-    t = triangularize(m, rank_tol=args.rank_tol, tol_fb=args.tol_fb)
+    t = _load(args.input, InnovationJointModel, TriangularJointModel)
+    if isinstance(t, InnovationJointModel):
+        t = triangularize(t, rank_tol=args.rank_tol, tol_fb=args.tol_fb)
     est = synthesize(t)
     print(f"partition: p1 = {t.p1}, p2 = {t.p2}")
     for name, M in (("Atil", est.Atil), ("Ktil", est.Ktil),
@@ -291,9 +289,7 @@ def cmd_reproduce_sysid(args):
     base = example_triangular_model()
     theta_true = float(base.A12[0, 0])
     par = SingleEntryParameterization(base, block="A12", index=(0, 0))
-    joint = assemble(base)
-    traj = simulate(joint, SimConfig(N=1000, seed=args.seed),
-                    rng=trajectory_rng(args.seed))
+    traj = simulate(assemble(base), SimConfig(N=1000, seed=args.seed))
     fit = identify(par, traj, opt=OptimizerConfig(restarts=2, maxiter=200,
                                                   seed=args.seed))
     atil12 = float(fit.estimator.Atil[0, 1])
@@ -323,13 +319,13 @@ def _build_parser():
     s.set_defaults(func=cmd_innovation_form)
 
     s = sub.add_parser("synthesize",
-                       help="innovation-form JSON -> estimator JSON")
+                       help="innovation or triangular JSON -> estimator JSON")
     s.add_argument("input")
     s.add_argument("output")
     s.add_argument("--tol-fb", type=float, default=1e-6,
-                   help="feedback-free residual tolerance")
+                   help="feedback-free residual tolerance (innovation input)")
     s.add_argument("--rank-tol", type=float, default=1e-6,
-                   help="relative rank tolerance for the partition")
+                   help="partition rank tolerance (innovation input)")
     s.set_defaults(func=cmd_synthesize)
 
     s = sub.add_parser("simulate", help="model JSON -> trajectory CSV")

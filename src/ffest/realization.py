@@ -5,6 +5,7 @@ observability matrix of the w-channel -> block-triangular coordinates.
 """
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -23,6 +24,12 @@ __all__ = [
     "check_feedback_free",
     "markov_parameters",
 ]
+
+# Relative singular-value tolerance of the w-observability matrix: the
+# default rank cut of triangularize, and the gap below which
+# _projection_adjoint treats singular values as equal (without it the
+# gen_full search stalls at gaps of 1e-12, where its gradient reaches 1e7).
+_RANK_TOL = 1e-6
 
 
 @dataclass
@@ -93,10 +100,7 @@ def _transform(m: InnovationJointModel, rank_tol, p2=None):
     dec = svd(O)
     if p2 is None:
         smax = dec.S[-1] if dec.S.size else 0.0
-        if smax == 0.0:
-            p2 = 0
-        else:
-            p2 = int(np.sum(dec.S > rank_tol * smax))
+        p2 = int(np.sum(dec.S > rank_tol * smax))  # 0 when all S are 0
     p1 = n - p2
     T = dec.V.T  # ascending order puts the near-null directions first
     Abar = T @ m.A @ T.T
@@ -113,6 +117,49 @@ def _transform(m: InnovationJointModel, rank_tol, p2=None):
         rel(Cbar[m.p :, :p1], Cbar),
     )
     return T, Abar, Kbar, Cbar, p1, p2, residual, dec
+
+
+def _projection_adjoint(m, tri, dec, g):
+    """Gradient over (A, K) of the joint model ``m`` given the gradient
+    ``g`` over the blocks of its projection ``tri``, as built from
+    :func:`_transform`'s output, whose basis this relies on: T = dec.V^T
+    with the singular values ascending (the last p2 rows of T span the
+    w-observable directions), and O = [Cw; Cw A; ...; Cw A^(n-1)].
+
+    The projection is invariant under rotations within the first p1 and
+    within the last p2 rows of T, so it depends on T only through the
+    invariant subspace of the top p2 eigenvalues s = S^2 of O^T O. That
+    subspace moves by dT = Omega T with Omega_ij = (t_j dM t_i^T) /
+    (s_i - s_j) for i, j in different groups, dM = d(O^T O). Pairs with a
+    zero gap, singular values equal to within ``_RANK_TOL``, contribute 0.
+    """
+    n, p1, p, q, T = m.n, tri.p1, m.p, m.q, tri.T
+    p2 = n - p1
+    gAbar = np.block([[g.A11, g.A12], [np.zeros((p2, p1)), g.A22]])
+    gKbar = np.block([[g.K11, g.K12], [np.zeros((p2, p)), g.K22]])
+    gCbar = np.block([[g.C11, g.C12], [np.zeros((q, p1)), g.C22]])
+    # Abar = T A T^T, Kbar = T K, Cbar = C T^T; the lower-left blocks are
+    # dropped, so their gradient is zero
+    gA = T.T @ gAbar @ T
+    gK = T.T @ gKbar
+    gT = gAbar @ T @ m.A.T + gAbar.T @ T @ m.A + gKbar @ m.K.T + gCbar.T @ m.C
+    H = gT @ T.T
+    S = dec.S
+    cross = np.zeros((n, n), dtype=bool)
+    cross[:p1, p1:] = cross[p1:, :p1] = True
+    cross &= np.abs(S[:, None] - S[None, :]) > _RANK_TOL * S[-1]
+    gap = S[:, None] ** 2 - S[None, :] ** 2
+    E = np.zeros((n, n))
+    E[cross] = H[cross] / gap[cross]
+    gM = T.T @ E.T @ T
+    # M = O^T O, then O = [Cw; Cw A; ...; Cw A^(n-1)] in reverse
+    O = observability_matrix(m.A, m.C_w)
+    gO = O @ (gM + gM.T)
+    gB = np.zeros((q, n))
+    for k in range(n - 1, 0, -1):
+        gB = gO[k * q:(k + 1) * q] + gB @ m.A.T
+        gA += O[(k - 1) * q:k * q].T @ gB
+    return SimpleNamespace(A=gA, K=gK)
 
 
 @dataclass
@@ -136,7 +183,7 @@ def check_feedback_free(m: InnovationJointModel, tol_fb=1e-6) -> FeedbackReport:
 
 def triangularize(
     m: InnovationJointModel,
-    rank_tol=1e-6,
+    rank_tol=_RANK_TOL,
     tol_fb=1e-6,
     p2=None,
 ) -> TriangularJointModel:

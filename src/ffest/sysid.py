@@ -51,7 +51,7 @@ from .models import (
     _split,
     assemble,
 )
-from .realization import _transform, observability_matrix
+from .realization import _projection_adjoint, _transform, observability_matrix
 from .simulation import SimConfig, simulate, trajectory_rng
 
 __all__ = [
@@ -84,13 +84,6 @@ CASES = ("pred_full", "gen_full", "pred_partial", "gen_partial")
 # waits for paired exact-MSE margins that can tell the two apart.
 ADJOINT_CASES = ("pred_full", "gen_full")
 
-# Singular values of the w-observability matrix closer than this, relative
-# to the largest, count as equal when differentiating the projection: it is
-# triangularize's default rank tolerance, below which the rank decision
-# cannot tell directions apart either. Without it, the gen_full search
-# stalls where the observable subspace has gaps of 1e-12 and its exact
-# gradient reaches 1e7.
-_GAP_TOL = 1e-6
 _STAB_LIMIT = 1.0 - 1e-6
 _STAB_PENALTY = 1e3
 _GTOL = 1e-6        # L-BFGS-B projected-gradient tolerance
@@ -373,47 +366,6 @@ def _synthesize_adjoint(t, est, g, d0_given):
     )
 
 
-def _projection_adjoint(m, tri, dec, g):
-    """Gradient over (A, K) of the joint model ``m`` given the gradient
-    ``g`` over the blocks of its projection ``tri`` (basis T = dec.V^T).
-
-    The projection is invariant under rotations within the first p1 and
-    within the last p2 rows of T, so it depends on T only through the
-    invariant subspace of the top p2 eigenvalues s = S^2 of O^T O, O the
-    w-observability matrix. That subspace moves by dT = Omega T with
-    Omega_ij = (t_j dM t_i^T) / (s_i - s_j) for i, j in different groups,
-    dM = d(O^T O). Pairs with a zero gap, singular values equal to within
-    ``_GAP_TOL``, contribute 0.
-    """
-    n, p1, p, q, T = m.n, tri.p1, m.p, m.q, tri.T
-    p2 = n - p1
-    gAbar = np.block([[g.A11, g.A12], [np.zeros((p2, p1)), g.A22]])
-    gKbar = np.block([[g.K11, g.K12], [np.zeros((p2, p)), g.K22]])
-    gCbar = np.block([[g.C11, g.C12], [np.zeros((q, p1)), g.C22]])
-    # Abar = T A T^T, Kbar = T K, Cbar = C T^T; the lower-left blocks are
-    # dropped, so their gradient is zero
-    gA = T.T @ gAbar @ T
-    gK = T.T @ gKbar
-    gT = gAbar @ T @ m.A.T + gAbar.T @ T @ m.A + gKbar @ m.K.T + gCbar.T @ m.C
-    H = gT @ T.T
-    S = dec.S
-    cross = np.zeros((n, n), dtype=bool)
-    cross[:p1, p1:] = cross[p1:, :p1] = True
-    cross &= np.abs(S[:, None] - S[None, :]) > _GAP_TOL * S[-1]
-    gap = S[:, None] ** 2 - S[None, :] ** 2
-    E = np.zeros((n, n))
-    E[cross] = H[cross] / gap[cross]
-    gM = T.T @ E.T @ T
-    # M = O^T O, then O = [Cw; Cw A; ...; Cw A^(n-1)] in reverse
-    O = observability_matrix(m.A, m.C_w)
-    gO = O @ (gM + gM.T)
-    gB = np.zeros((q, n))
-    for k in range(n - 1, 0, -1):
-        gB = gO[k * q:(k + 1) * q] + gB @ m.A.T
-        gA += O[(k - 1) * q:k * q].T @ gB
-    return SimpleNamespace(A=gA, K=gK)
-
-
 def objective_and_gradient(par: Parameterization, theta, data: Trajectory):
     """:func:`objective` and its gradient in theta, as ``(value, grad)``.
 
@@ -474,7 +426,13 @@ class FitResult:
 
 def identify(par: Parameterization, data: Trajectory,
              opt: OptimizerConfig | None = None, theta0=None) -> FitResult:
-    """Multi-start quasi-Newton minimization of the prediction error."""
+    """Multi-start quasi-Newton minimization of the prediction error.
+
+    The first start is ``theta0`` (default 0); each of ``opt.restarts`` more
+    adds a seeded random perturbation to it. A pred_full fit from theta = 0
+    gets at least one random start: theta = 0 is a saddle, where Atil, Ktil
+    and Ctil multiply each other's zeros and only D0 moves.
+    """
     opt = opt or OptimizerConfig()
     if data.N <= par.theta_dim:
         warnings.warn(
@@ -484,9 +442,12 @@ def identify(par: Parameterization, data: Trajectory,
         )
     base = (np.zeros(par.theta_dim) if theta0 is None
             else np.array(theta0, dtype=float))
+    restarts = opt.restarts
+    if theta0 is None and par.case == "pred_full":
+        restarts = max(restarts, 1)
     rng = trajectory_rng(opt.seed)
     starts = [base]
-    for _ in range(opt.restarts):
+    for _ in range(restarts):
         starts.append(base + _INIT_SCALE * rng.standard_normal(par.theta_dim))
     # the objective is flat along the dead entries, so the search keeps
     # them where they start: at their template values
@@ -582,9 +543,8 @@ def random_benchmark_system(seed=BENCHMARK_SEED, n=10, p1=4, p2=6, p=3,
             continue
         if spectral_radius(m.A - m.K @ m.C) >= 0.98:
             continue
-        obs = np.vstack([t.C22 @ np.linalg.matrix_power(t.A22, k)
-                         for k in range(p2)])
-        sv = np.linalg.svd(obs, compute_uv=False)
+        sv = np.linalg.svd(observability_matrix(t.A22, t.C22),
+                           compute_uv=False)
         if sv[-1] <= 1e-6 * sv[0]:
             continue
         return t
@@ -658,10 +618,6 @@ def _benchmark_cell(t_true, case, N, ni, rep, seed, opt, N_val):
             )
             par = build_parameterization(case, dims,
                                          fixed=known_blocks(case, t_true))
-            if case == "pred_full" and opt.restarts < 1:
-                # theta = 0 is a stationary point of the fully
-                # parameterized predictor; a random start is required
-                opt = replace(opt, restarts=1)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 fit = identify(par, train, opt=opt)

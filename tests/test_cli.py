@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, artifacts, exit codes."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,11 +9,16 @@ import pytest
 from ffest import (
     EstimatorModel,
     InnovationJointModel,
+    SimConfig,
     StateSpaceModel,
+    assemble,
     load_model,
     load_trajectory,
     markov_parameters,
+    random_benchmark_system,
     save_model,
+    save_trajectory,
+    simulate,
     synthesize,
 )
 from ffest.cli import _EXAMPLE_SYSTEM, _build_parser, main
@@ -114,16 +120,20 @@ class TestSynthesize:
         assert payload["residual"] > 1e-6
 
     def test_triangular_input(self, tmp_path, example_triangular, capsys):
-        # a triangular file is assembled and triangularized again; its
-        # estimator has the same impulse response and direct gain
-        path, out = tmp_path / "tri.json", tmp_path / "est.json"
-        save_model(example_triangular, path)
-        assert main(["synthesize", str(path), str(out)]) == 0
-        assert "partition: p1 = 1, p2 = 1" in capsys.readouterr().out
-        est, ref = load_model(out), synthesize(example_triangular)
-        assert np.max(np.abs(est.D0 - ref.D0)) <= 1e-12
-        h = [markov_parameters(e.Atil, e.Ktil, e.Ctil, 8) for e in (est, ref)]
-        assert np.max(np.abs(h[0] - h[1])) <= 1e-10
+        # a triangular file is synthesized as given: no second projection
+        # rotates its state basis, so the estimator is synthesize's exactly
+        for t in (example_triangular, random_benchmark_system()):
+            path, out = tmp_path / "tri.json", tmp_path / "est.json"
+            save_model(t, path)
+            assert main(["synthesize", str(path), str(out)]) == 0
+            assert (f"partition: p1 = {t.p1}, p2 = {t.p2}"
+                    in capsys.readouterr().out)
+            est, ref = load_model(out), synthesize(t)
+            for name in ("Atil", "Ktil", "Ctil", "D0"):
+                assert np.array_equal(getattr(est, name), getattr(ref, name))
+            h = [markov_parameters(e.Atil, e.Ktil, e.Ctil, 8)
+                 for e in (est, ref)]
+            assert np.max(np.abs(h[0] - h[1])) <= 1e-10
 
 
 class TestSimulateAndFilter:
@@ -221,6 +231,24 @@ class TestIdentify:
                          "--restarts", "0", "--maxiter", "5"]) == 0
             docs.append(json.loads(out.read_text()))
         assert docs[0] == docs[1]
+
+    def test_failed_starts_exit_5_with_reasons(self, tmp_path, capsys):
+        # with Q22 = 0 the direct gain Q12 Q22^-1 does not exist, so the
+        # objective is not finite at any start and no optimizer runs
+        t = random_benchmark_system(n=2, p1=1, p2=1, p=1, q=1)
+        traj, truth = tmp_path / "traj.csv", tmp_path / "truth.json"
+        save_trajectory(simulate(assemble(t), SimConfig(N=100, seed=1)), traj)
+        save_model(replace(t, Q12=np.zeros((1, 1)), Q22=np.zeros((1, 1))),
+                   truth)
+        code = main(["identify", str(traj), str(tmp_path / "fit.json"),
+                     "--case", "pred_partial", "--dims", "2,1,1,1,1",
+                     "--truth", str(truth), "--restarts", "2",
+                     "--maxiter", "5"])
+        assert code == 5
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "IdentificationError"
+        assert payload["diagnostics"] == [
+            f"start {i}: objective not finite at x0" for i in range(3)]
 
     def test_bad_dims_exit_2(self, tmp_path, innovation_json, capsys):
         traj = tmp_path / "traj.csv"

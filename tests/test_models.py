@@ -96,6 +96,22 @@ class TestValidate:
         assert not report.ok
         assert any("positive definite" in v for v in report.violations)
 
+    @pytest.mark.parametrize("over, message", [
+        ({"A22": [[1.2]]}, "spectral radius of assembled A is 1.2 >= 1"),
+        ({"Q22": [[-0.5]]}, "Q22 not positive definite (eigenvalue: -0.5)"),
+    ], ids=["unstable", "indefinite-q22"])
+    def test_triangular_violations(self, over, message):
+        assert validate(make_triangular()).ok
+        assert validate(make_triangular(**over)).violations == [message]
+
+    def test_unstable_estimator_reported(self):
+        est = EstimatorModel(Atil=[[0.5, 1.0], [0.0, 1.1]],
+                             Ktil=np.ones((2, 1)), Ctil=np.ones((1, 2)),
+                             D0=[[0.0]])
+        assert validate(est).violations == [
+            "spectral radius of Atil is 1.1 >= 1"]
+        assert validate(make_empty_estimator()).ok
+
     def test_report_is_truthy_boolean(self):
         assert bool(validate(make_innovation())) is True
 

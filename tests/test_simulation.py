@@ -102,6 +102,23 @@ class TestSimulate:
                         SimConfig(N=3, seed=1, init=[1.0, 2.0]))
         assert np.allclose(traj.x[0], [1.0, 2.0])
 
+    def test_singular_q_draws_in_its_range(self, example_innovation):
+        # a PSD but singular Q has no Cholesky factor; its symmetric factor
+        # draws innovations along the range of Q only
+        v = np.array([1.0, -2.0])
+        m = replace(example_innovation, Q=np.outer(v, v))
+        traj = simulate(m, SimConfig(N=20_000, seed=4))
+        assert np.max(np.abs(traj.e @ np.array([2.0, 1.0]))) <= 1e-12
+        S = traj.e.T @ traj.e / traj.N
+        assert np.linalg.norm(S - m.Q) / np.linalg.norm(m.Q) <= 0.05
+
+    def test_indefinite_q_raises(self, example_innovation):
+        from ffest.errors import IndefiniteCovarianceError
+
+        m = replace(example_innovation, Q=np.diag([1.0, -0.5]))
+        with pytest.raises(IndefiniteCovarianceError, match="indefinite"):
+            simulate(m, SimConfig(N=10, seed=0))
+
     def test_driven_model_form(self, example_system):
         traj = simulate(example_system, SimConfig(N=100, seed=1))
         assert traj.y.shape == (100, 1)
@@ -205,6 +222,20 @@ class TestTrajectoryCsv:
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1,2\n")
         with pytest.raises(ModelFormatError):
+            load_trajectory(path)
+
+    def test_out_of_order_header_rejected(self, example_innovation,
+                                          tmp_path):
+        from ffest.errors import ModelFormatError
+
+        path = tmp_path / "traj.csv"
+        save_trajectory(simulate(example_innovation, SimConfig(N=5, seed=3)),
+                        path)
+        lines = path.read_text().splitlines()
+        assert lines[0] == "t,y1,w1,x1,x2,e1,e2"
+        lines[0] = "t,w1,y1,x1,x2,e1,e2"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ModelFormatError, match="unexpected header"):
             load_trajectory(path)
 
     @pytest.mark.parametrize("body", [

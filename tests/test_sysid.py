@@ -1,5 +1,7 @@
 """Parameterizations, prediction-error objective, identify, benchmark."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -313,6 +315,37 @@ class TestIdentify:
         with pytest.raises(IdentificationError):
             identify(par, traj, opt=OptimizerConfig(restarts=1, maxiter=5))
 
+    def test_pred_full_from_zero_gets_a_random_start(self):
+        # theta = 0 is a saddle of pred_full: from it only D0 moves, and the
+        # fit would be a static gain with Ctil = 0
+        t = random_benchmark_system(n=2, p1=1, p2=1, p=1, q=1)
+        par = build_parameterization("pred_full", Dims(2, 1, 1, 1, 1))
+        traj = simulate(assemble(t), SimConfig(N=300, seed=4))
+        fit = identify(par, traj, opt=OptimizerConfig(restarts=0, maxiter=15))
+        assert fit.restarts_used == 1
+        assert np.any(fit.estimator.Ctil != 0.0)
+
+    def test_given_theta0_runs_one_start(self, monkeypatch):
+        # the pred_full start rule leaves a given start alone
+        import ffest.sysid
+
+        t = random_benchmark_system(n=2, p1=1, p2=1, p=1, q=1)
+        par = build_parameterization("pred_full", Dims(2, 1, 1, 1, 1))
+        traj = simulate(assemble(t), SimConfig(N=300, seed=4))
+        starts = []
+        minimize = ffest.sysid.minimize
+
+        def counted(fun, x0, **kw):
+            starts.append(x0.copy())
+            return minimize(fun, x0, **kw)
+
+        monkeypatch.setattr(ffest.sysid, "minimize", counted)
+        theta0 = par.encode(synthesize(t))
+        fit = identify(par, traj, theta0=theta0,
+                       opt=OptimizerConfig(restarts=0, maxiter=15))
+        assert fit.restarts_used == 0
+        assert len(starts) == 1 and np.array_equal(starts[0], theta0)
+
     def test_deterministic_given_seed(self):
         t = random_benchmark_system(n=2, p1=1, p2=1, p=1, q=1)
         fixed = {"A22": t.A22, "K22": t.K22, "C22": t.C22, "Q22": t.Q22}
@@ -450,6 +483,30 @@ class TestBenchmark:
         write_benchmark_rows_csv(small_result, a)
         write_benchmark_rows_csv(again, b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_every_cell_fails(self, tmp_path):
+        # Q22 = 0: neither the true estimator nor any identified predictor
+        # has a direct gain Q12 Q22^-1, so every row carries its error
+        system = replace(random_benchmark_system(), Q12=np.zeros((3, 2)),
+                         Q22=np.zeros((2, 2)))
+        result = benchmark(system, cases=("pred_partial",), Ns=(80,), M=1,
+                           N_val=200)
+        assert [r.case for r in result.rows] == ["case0", "pred_partial"]
+        for row in result.rows:
+            assert row.error
+            assert row.training_mse is None
+            assert np.isnan(row.validation_mse)
+        assert result.aggregate == {("case0", 80): None,
+                                    ("pred_partial", 80): None}
+        table, curve = tmp_path / "table.csv", tmp_path / "curve.csv"
+        write_benchmark_table_csv(result, table)
+        write_benchmark_curve_csv(result, curve)
+        lines = table.read_text().splitlines()
+        assert lines[1] == ",total_parameters,0,96"
+        assert all(line.endswith(",,") for line in lines[2:])
+        assert len(lines) == 2 + 6  # training, validation, 3 VAFs, mean
+        assert curve.read_text() == (
+            "case,N,avg_training_mse,avg_validation_mse\n")
 
     def test_worker_count_invariant(self):
         system = random_benchmark_system()
