@@ -34,6 +34,8 @@ from .models import (
     save_model,
 )
 from .realization import (
+    _RANK_TOL,
+    _TOL_FB,
     check_feedback_free,
     innovation_form_details,
     triangularize,
@@ -322,9 +324,9 @@ def _build_parser():
                        help="innovation or triangular JSON -> estimator JSON")
     s.add_argument("input")
     s.add_argument("output")
-    s.add_argument("--tol-fb", type=float, default=1e-6,
+    s.add_argument("--tol-fb", type=float, default=_TOL_FB,
                    help="feedback-free residual tolerance (innovation input)")
-    s.add_argument("--rank-tol", type=float, default=1e-6,
+    s.add_argument("--rank-tol", type=float, default=_RANK_TOL,
                    help="partition rank tolerance (innovation input)")
     s.set_defaults(func=cmd_synthesize)
 

@@ -83,6 +83,12 @@ def _state_path(A, B, u, x0=None):
             return (s @ W.T).real
     except np.linalg.LinAlgError:
         pass
+    return _state_loop(A, B, u, x0)
+
+
+def _state_loop(A, B, u, x0=None):
+    """States x(0..N-1) of x+ = A x + B u(t) by the plain time loop."""
+    N, n = u.shape[0], A.shape[0]
     x = np.zeros((N, n))
     v = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).reshape(n)
     for t in range(N):

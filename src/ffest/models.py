@@ -123,10 +123,6 @@ class InnovationJointModel(_Matrices):
         return self.A.shape[0]
 
     @property
-    def C_y(self):
-        return self.C[: self.p, :]
-
-    @property
     def C_w(self):
         return self.C[self.p :, :]
 

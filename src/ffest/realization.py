@@ -30,6 +30,8 @@ __all__ = [
 # _projection_adjoint treats singular values as equal (without it the
 # gen_full search stalls at gaps of 1e-12, where its gradient reaches 1e7).
 _RANK_TOL = 1e-6
+# Largest lower-left residual that still counts as feedback-free.
+_TOL_FB = 1e-6
 
 
 @dataclass
@@ -170,7 +172,7 @@ class FeedbackReport:
     p2: int
 
 
-def check_feedback_free(m: InnovationJointModel, tol_fb=1e-6) -> FeedbackReport:
+def check_feedback_free(m: InnovationJointModel, tol_fb=_TOL_FB) -> FeedbackReport:
     """Numeric test of the no-feedback condition.
 
     The process admits an exact block-triangular form iff there is no
@@ -184,7 +186,7 @@ def check_feedback_free(m: InnovationJointModel, tol_fb=1e-6) -> FeedbackReport:
 def triangularize(
     m: InnovationJointModel,
     rank_tol=_RANK_TOL,
-    tol_fb=1e-6,
+    tol_fb=_TOL_FB,
     p2=None,
 ) -> TriangularJointModel:
     """Block-triangularize a joint innovation model.

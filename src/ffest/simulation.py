@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import (FfestError, IndefiniteCovarianceError, ModelFormatError,
                      ValidationError)
-from .estimator import compute_d0, joint_one_step_prediction
+from .estimator import _state_loop, compute_d0, joint_one_step_prediction
 from .matkernel import solve_discrete_lyapunov
 from .models import InnovationJointModel, StateSpaceModel, Trajectory
 
@@ -104,22 +104,15 @@ def simulate(model, cfg: SimConfig, rng=None) -> Trajectory:
     noise_dim = L.shape[0]
     e = rng.standard_normal((N, noise_dim)) @ L.T
 
-    if isinstance(cfg.init, str) and cfg.init == "stationary":
+    x0 = cfg.init  # an explicit state vector unless one of the two modes
+    if isinstance(x0, str) and x0 == "stationary":
         P = solve_discrete_lyapunov(A, state_noise_cov)
         x0 = _noise_factor(P) @ rng.standard_normal(n)
-    elif isinstance(cfg.init, str) and cfg.init == "zero":
-        x0 = np.zeros(n)
-    else:
-        x0 = np.asarray(cfg.init, dtype=float).reshape(n)
-
-    X = np.zeros((N, n))
-    Z = np.zeros((N, model.p + model.q))
-    x = x0
-    for t in range(N):
-        X[t] = x
-        Z[t] = C @ x + D @ e[t]
-        x = A @ x + G @ e[t]
-
+    elif isinstance(x0, str) and x0 == "zero":
+        x0 = None
+    X = _state_loop(A, G, e, x0)
+    # row-wise matvecs, as C @ x(t) was; X @ C.T would change the last bits
+    Z = (C @ X[..., None] + D @ e[..., None])[..., 0]
     return Trajectory(y=Z[:, :p], w=Z[:, p:], x=X, e=e)
 
 
@@ -205,19 +198,22 @@ def innovation_diagnostics(m: InnovationJointModel,
 
 # --- trajectory CSV -------------------------------------------------------
 
+def _trajectory_columns(p, q, nx, ne):
+    """The CSV header `t,y1..,w1..,x1..,e1..` for the given block widths."""
+    cols = ["t"]
+    for prefix, width in zip("ywxe", (p, q, nx, ne)):
+        cols += [f"{prefix}{i+1}" for i in range(width)]
+    return cols
+
+
 def save_trajectory(traj: Trajectory, path):
     """Write `t,y1..,w1..[,x..,e..]` rows with 17 significant digits."""
-    cols = ["t"]
-    cols += [f"y{i+1}" for i in range(traj.y.shape[1])]
-    cols += [f"w{i+1}" for i in range(traj.w.shape[1])]
-    blocks = [np.arange(traj.N), traj.y, traj.w]
-    if traj.x is not None:
-        cols += [f"x{i+1}" for i in range(traj.x.shape[1])]
-        blocks.append(traj.x)
-    if traj.e is not None:
-        cols += [f"e{i+1}" for i in range(traj.e.shape[1])]
-        blocks.append(traj.e)
-    np.savetxt(path, np.column_stack(blocks), delimiter=",",
+    blocks = (traj.y, traj.w, traj.x, traj.e)
+    cols = _trajectory_columns(*(0 if b is None else b.shape[1]
+                                 for b in blocks))
+    data = np.column_stack([np.arange(traj.N),
+                            *(b for b in blocks if b is not None)])
+    np.savetxt(path, data, delimiter=",",
                fmt=["%d"] + ["%.17g"] * (len(cols) - 1),
                header=",".join(cols), comments="")
 
@@ -233,11 +229,7 @@ def load_trajectory(path) -> Trajectory:
 
     p, q = count("y"), count("w")
     nx, ne = count("x"), count("e")
-    expected = ["t"]
-    expected += [f"y{i+1}" for i in range(p)]
-    expected += [f"w{i+1}" for i in range(q)]
-    expected += [f"x{i+1}" for i in range(nx)]
-    expected += [f"e{i+1}" for i in range(ne)]
+    expected = _trajectory_columns(p, q, nx, ne)
     if header != expected:
         raise ModelFormatError(f"{path}: unexpected header {header}")
     try:
@@ -250,9 +242,5 @@ def load_trajectory(path) -> Trajectory:
                                f"no rows ({exc})") from exc
     if data.shape[1] != len(expected):
         raise ModelFormatError(f"{path}: ragged rows")
-    o = 1
-    y = data[:, o : o + p]; o += p
-    w = data[:, o : o + q]; o += q
-    x = data[:, o : o + nx] if nx else None; o += nx
-    e = data[:, o : o + ne] if ne else None
-    return Trajectory(y=y, w=w, x=x, e=e)
+    y, w, x, e = np.split(data[:, 1:], np.cumsum([p, q, nx]), axis=1)
+    return Trajectory(y=y, w=w, x=x if nx else None, e=e if ne else None)

@@ -51,7 +51,8 @@ from .models import (
     _split,
     assemble,
 )
-from .realization import _projection_adjoint, _transform, observability_matrix
+from .realization import (_RANK_TOL, _projection_adjoint, _transform,
+                          observability_matrix)
 from .simulation import SimConfig, simulate, trajectory_rng
 
 __all__ = [
@@ -545,7 +546,7 @@ def random_benchmark_system(seed=BENCHMARK_SEED, n=10, p1=4, p2=6, p=3,
             continue
         sv = np.linalg.svd(observability_matrix(t.A22, t.C22),
                            compute_uv=False)
-        if sv[-1] <= 1e-6 * sv[0]:
+        if sv[-1] <= _RANK_TOL * sv[0]:
             continue
         return t
     raise RuntimeError("could not sample a benchmark system")
@@ -603,11 +604,11 @@ def _benchmark_cell(t_true, case, N, ni, rep, seed, opt, N_val):
     can run in worker processes with identical results."""
     joint = assemble(t_true)
     dims = Dims(t_true.n, t_true.p1, t_true.p2, t_true.p, t_true.q)
-    val = simulate(
-        joint, SimConfig(N=N_val, seed=seed),
-        rng=trajectory_rng(seed, index=(ni, rep, 1)),
-    )
     try:
+        val = simulate(
+            joint, SimConfig(N=N_val, seed=seed),
+            rng=trajectory_rng(seed, index=(ni, rep, 1)),
+        )
         if case == "case0":
             est = synthesize(t_true)
             training = None

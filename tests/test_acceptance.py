@@ -33,7 +33,6 @@ from ffest import (
     solve_discrete_lyapunov,
     synthesize,
     trajectory_rng,
-    triangularize,
 )
 from ffest.cli import (
     _EXAMPLE_SYSTEM as SYSTEM,
@@ -48,11 +47,6 @@ from ffest.cli import (
 # trace(C11 Sigma C11^T + Schur(Q)), Sigma the w-unreachable state
 # covariance (independently derived and frozen)
 EXAMPLE_ERROR_FLOOR = 4.6609289377
-
-
-def example_triangular():
-    return triangularize(innovation_form_details(SYSTEM).model,
-                         rank_tol=1e-2, tol_fb=1e-2)
 
 
 def max_reference_diff(model, reference):
@@ -121,8 +115,8 @@ def test_criterion_3_estimator():
 
 
 @pytest.fixture(scope="module")
-def desk_scale():
-    t = example_triangular()
+def desk_scale(example_triangular):
+    t = example_triangular
     model = assemble(t)
     start = time.perf_counter()
     # seed 0: the cross-correlation band of criterion 4b is a plain

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, artifacts, exit codes."""
 
+import inspect
 import json
 from dataclasses import replace
 
@@ -20,6 +21,7 @@ from ffest import (
     save_trajectory,
     simulate,
     synthesize,
+    triangularize,
 )
 from ffest.cli import _EXAMPLE_SYSTEM, _build_parser, main
 
@@ -118,6 +120,12 @@ class TestSynthesize:
         payload = json.loads(capsys.readouterr().err)
         assert payload["error"] == "FeedbackViolationError"
         assert payload["residual"] > 1e-6
+
+    def test_option_defaults_are_the_library_defaults(self):
+        args = _build_parser().parse_args(["synthesize", "in", "out"])
+        defaults = inspect.signature(triangularize).parameters
+        assert args.tol_fb == defaults["tol_fb"].default
+        assert args.rank_tol == defaults["rank_tol"].default
 
     def test_triangular_input(self, tmp_path, example_triangular, capsys):
         # a triangular file is synthesized as given: no second projection

@@ -19,6 +19,7 @@ from ffest import (
     synthesize,
     triangularize,
 )
+from ffest.cli import _GOLDEN_CHAIN
 from ffest.errors import (
     IndefiniteCovarianceError,
     StabilityError,
@@ -97,7 +98,7 @@ class TestLyapunov:
     def test_example_state_covariance(self):
         P = solve_discrete_lyapunov(A_EX, B_EX @ B_EX.T)
         assert np.allclose(P, P_ORACLE, atol=1e-6)
-        assert np.allclose(P, [[11.34, 9.22], [9.22, 7.96]], atol=0.01)
+        assert np.allclose(P, _GOLDEN_CHAIN["P"], atol=0.01)
 
     def test_zero_dynamics(self):
         W = np.diag([2.0, 3.0])

@@ -15,7 +15,8 @@ from ffest import (
     to_innovation_form,
     triangularize,
 )
-from ffest.cli import _GOLDEN_TRIANGULAR, example_triangular_model
+from ffest.cli import (_GOLDEN_CHAIN, _GOLDEN_TRIANGULAR,
+                       example_triangular_model)
 from ffest.errors import FeedbackViolationError, IndefiniteCovarianceError
 
 
@@ -31,15 +32,10 @@ def covariance_sequence(A, Pstate, C, Lambda0, Cbar, lags):
 
 class TestInnovationForm:
     def test_example_intermediates(self, example_chain):
-        assert np.allclose(
-            example_chain.Cbar, [[17.24, 15.28], [3.79, 2.47]], atol=0.02
-        )
-        assert np.allclose(
-            example_chain.Lambda0, [[31.64, 3.72], [3.72, 2.28]], atol=0.02
-        )
-        assert np.allclose(
-            example_chain.model.Q, [[2.0, 1.0], [1.0, 1.0]], atol=0.02
-        )
+        for name, actual in (("Cbar", example_chain.Cbar),
+                             ("Lambda0", example_chain.Lambda0),
+                             ("Delta", example_chain.model.Q)):
+            assert np.allclose(actual, _GOLDEN_CHAIN[name], atol=0.02), name
 
     def test_noise_through_d_only(self):
         m = StateSpaceModel(

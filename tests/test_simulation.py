@@ -6,16 +6,21 @@ import numpy as np
 import pytest
 
 from ffest import (
+    InnovationJointModel,
     SimConfig,
     Trajectory,
     assemble,
     innovation_diagnostics,
     load_trajectory,
+    random_benchmark_system,
     save_trajectory,
     simulate,
+    solve_discrete_lyapunov,
     trajectory_rng,
 )
+from ffest.cli import _GOLDEN_CHAIN
 from ffest.errors import ValidationError
+from ffest.simulation import _noise_factor
 
 from conftest import make_triangular
 
@@ -45,7 +50,54 @@ class TestTrajectoryRng:
         assert not np.array_equal(a, c)
 
 
+def per_sample_simulate(model, cfg):
+    """Reference: simulate as a per-sample loop that forms each output row
+    next to its state update (the arithmetic of earlier releases)."""
+    rng = trajectory_rng(cfg.seed)
+    if isinstance(model, InnovationJointModel):
+        A, C, D, G = model.A, model.C, np.eye(model.p + model.q), model.K
+        L = _noise_factor(model.Q)
+        state_noise_cov = model.K @ model.Q @ model.K.T
+    else:
+        A, C, D, G = model.A, model.C, model.D, model.B
+        L = np.eye(model.m)
+        state_noise_cov = model.B @ model.B.T
+    n, N = A.shape[0], cfg.N
+    e = rng.standard_normal((N, L.shape[0])) @ L.T
+    if isinstance(cfg.init, str) and cfg.init == "stationary":
+        P = solve_discrete_lyapunov(A, state_noise_cov)
+        x = _noise_factor(P) @ rng.standard_normal(n)
+    elif isinstance(cfg.init, str) and cfg.init == "zero":
+        x = np.zeros(n)
+    else:
+        x = np.asarray(cfg.init, dtype=float).reshape(n)
+    X = np.zeros((N, n))
+    Z = np.zeros((N, model.p + model.q))
+    for t in range(N):
+        X[t] = x
+        Z[t] = C @ x + D @ e[t]
+        x = A @ x + G @ e[t]
+    return Trajectory(y=Z[:, :model.p], w=Z[:, model.p:], x=X, e=e)
+
+
 class TestSimulate:
+    @pytest.mark.parametrize("init", ["stationary", "zero", "explicit"])
+    @pytest.mark.parametrize("model", ["benchmark", "benchmark-30",
+                                       "driven"])
+    def test_bit_identical_to_per_sample_loop(self, example_system, model,
+                                              init):
+        m = {"benchmark": lambda: assemble(random_benchmark_system()),
+             "benchmark-30": lambda: assemble(
+                 random_benchmark_system(n=30, p1=24, p2=6)),
+             "driven": lambda: example_system}[model]()
+        if init == "explicit":
+            init = np.linspace(-1.0, 1.0, m.A.shape[0])
+        cfg = SimConfig(N=1000, seed=11, init=init)
+        got, ref = simulate(m, cfg), per_sample_simulate(m, cfg)
+        for name in ("x", "y", "w", "e"):
+            assert np.array_equal(getattr(got, name), getattr(ref, name)), \
+                name
+
     def test_same_seed_bit_identical(self, example_innovation):
         t1 = simulate(example_innovation, SimConfig(N=200, seed=9))
         t2 = simulate(example_innovation, SimConfig(N=200, seed=9))
@@ -58,13 +110,13 @@ class TestSimulate:
         traj = simulate(example_innovation, SimConfig(N=100_000, seed=2))
         Z = np.hstack([traj.y, traj.w])
         S = Z.T @ Z / traj.N
-        ref = np.array([[31.64, 3.72], [3.72, 2.28]])
+        ref = np.array(_GOLDEN_CHAIN["Lambda0"])
         assert np.linalg.norm(S - ref) / np.linalg.norm(ref) <= 0.05
 
     def test_innovation_covariance_matches_q(self, example_innovation):
         traj = simulate(example_innovation, SimConfig(N=100_000, seed=2))
         S = traj.e.T @ traj.e / traj.N
-        ref = np.array([[2.0, 1.0], [1.0, 1.0]])
+        ref = np.array(_GOLDEN_CHAIN["Delta"])
         assert np.linalg.norm(S - ref) / np.linalg.norm(ref) <= 0.05
 
     def test_state_recursion_exact(self, example_innovation):

@@ -508,6 +508,21 @@ class TestBenchmark:
         assert curve.read_text() == (
             "case,N,avg_training_mse,avg_validation_mse\n")
 
+    def test_unsimulable_validation_is_a_row_error(self):
+        # Q22 = -1 has no noise factor: the validation trajectory of every
+        # cell fails to simulate, which the rows report instead of raising
+        system = replace(random_benchmark_system(n=2, p1=1, p2=1, p=1, q=1),
+                         Q22=[[-1.0]])
+        result = benchmark(system, cases=("pred_partial",), Ns=(80,), M=1,
+                           N_val=200)
+        assert [r.case for r in result.rows] == ["case0", "pred_partial"]
+        for row in result.rows:
+            assert "indefinite" in row.error
+            assert row.training_mse is None
+            assert np.isnan(row.validation_mse)
+        assert result.aggregate == {("case0", 80): None,
+                                    ("pred_partial", 80): None}
+
     def test_worker_count_invariant(self):
         system = random_benchmark_system()
         opt = OptimizerConfig(restarts=0, maxiter=3)
