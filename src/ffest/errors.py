@@ -16,6 +16,7 @@ __all__ = [
     "FeedbackViolationError",
     "IdentificationError",
     "UndefinedVafError",
+    "SamplingError",
 ]
 
 
@@ -71,3 +72,7 @@ class IdentificationError(FfestError):
 
 class UndefinedVafError(FfestError):
     """VAF is undefined because a signal component has zero variance."""
+
+
+class SamplingError(FfestError, RuntimeError):
+    """Rejection sampling of a random system found no admissible draw."""

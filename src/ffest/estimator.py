@@ -14,7 +14,8 @@ import numpy as np
 from scipy.signal import lfilter
 
 from .errors import IndefiniteCovarianceError
-from .models import EstimatorModel, InnovationJointModel, TriangularJointModel
+from .models import (EstimatorModel, InnovationJointModel,
+                     TriangularJointModel, _upper)
 
 __all__ = [
     "compute_d0",
@@ -49,11 +50,7 @@ def synthesize(t: TriangularJointModel, D0=None) -> EstimatorModel:
     else:
         D0 = np.atleast_2d(np.asarray(D0, dtype=float))
     KD = t.K12 + t.K11 @ D0
-    p1, p2, n = t.p1, t.p2, t.p1 + t.p2
-    Atil = np.zeros((n, n))
-    Atil[:p1, :p1] = t.A11
-    Atil[:p1, p1:] = t.A12 - KD @ t.C22
-    Atil[p1:, p1:] = t.A22 - t.K22 @ t.C22
+    Atil = _upper(t.A11, t.A12 - KD @ t.C22, t.A22 - t.K22 @ t.C22)
     Ktil = np.vstack([KD, t.K22])
     Ctil = np.hstack([t.C11, t.C12 - D0 @ t.C22])
     return EstimatorModel(Atil=Atil, Ktil=Ktil, Ctil=Ctil, D0=D0)

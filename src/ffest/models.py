@@ -79,6 +79,16 @@ class _Matrices:
             _check_finite(name, a)
 
 
+def _upper(X11, X12, X22):
+    """[[X11, X12], [0, X22]], with an exact zero lower-left block."""
+    r1, c1 = X11.shape
+    X = np.zeros((r1 + X22.shape[0], c1 + X22.shape[1]))
+    X[:r1, :c1] = X11
+    X[:r1, c1:] = X12
+    X[r1:, c1:] = X22
+    return X
+
+
 @dataclass
 class StateSpaceModel(_Matrices):
     """Driven model x+ = Ax + Bv, [y; w] = Cx + Dv with v ~ N(0, I)."""
@@ -174,24 +184,15 @@ class TriangularJointModel(_Matrices):
 
     @property
     def A(self):
-        return np.block([
-            [self.A11, self.A12],
-            [np.zeros((self.p2, self.p1)), self.A22],
-        ])
+        return _upper(self.A11, self.A12, self.A22)
 
     @property
     def K(self):
-        return np.block([
-            [self.K11, self.K12],
-            [np.zeros((self.p2, self.p)), self.K22],
-        ])
+        return _upper(self.K11, self.K12, self.K22)
 
     @property
     def C(self):
-        return np.block([
-            [self.C11, self.C12],
-            [np.zeros((self.q, self.p1)), self.C22],
-        ])
+        return _upper(self.C11, self.C12, self.C22)
 
     @property
     def Q(self):

@@ -12,7 +12,7 @@ import numpy as np
 from .errors import FeedbackViolationError, IndefiniteCovarianceError, ValidationError
 from .matkernel import solve_discrete_lyapunov, solve_innovation_riccati, svd
 from .models import (InnovationJointModel, StateSpaceModel,
-                     TriangularJointModel, _split)
+                     TriangularJointModel, _split, _upper)
 
 __all__ = [
     "InnovationFormResult",
@@ -92,18 +92,17 @@ def observability_matrix(A, Cw):
 def _transform(m: InnovationJointModel, rank_tol, p2=None):
     """SVD coordinates putting the w-observable states last.
 
-    Returns (T, Abar, Kbar, Cbar, p1, p2, residual, dec) where residual is
-    the largest relative Frobenius norm of the lower-left blocks that should
-    vanish for a feedback-free process, and dec is the SVD of the
-    observability matrix of (A, C_w), whose V is T transposed.
+    Returns (tri, residual, S): ``m`` in these coordinates without its
+    lower-left blocks, the largest relative Frobenius norm of those blocks
+    (they vanish for a feedback-free process), and the ascending singular
+    values of the observability matrix of (A, C_w), whose V^T is tri.T.
     """
-    n = m.n
     O = observability_matrix(m.A, m.C_w)
     dec = svd(O)
     if p2 is None:
         smax = dec.S[-1] if dec.S.size else 0.0
         p2 = int(np.sum(dec.S > rank_tol * smax))  # 0 when all S are 0
-    p1 = n - p2
+    p1 = m.n - p2
     T = dec.V.T  # ascending order puts the near-null directions first
     Abar = T @ m.A @ T.T
     Kbar = T @ m.K
@@ -118,15 +117,14 @@ def _transform(m: InnovationJointModel, rank_tol, p2=None):
         rel(Kbar[p1:, : m.p], Kbar),
         rel(Cbar[m.p :, :p1], Cbar),
     )
-    return T, Abar, Kbar, Cbar, p1, p2, residual, dec
+    return _split(Abar, Kbar, Cbar, m.Q, p1, m.p, T), residual, dec.S
 
 
-def _projection_adjoint(m, tri, dec, g):
+def _projection_adjoint(m, tri, S, g):
     """Gradient over (A, K) of the joint model ``m`` given the gradient
-    ``g`` over the blocks of its projection ``tri``, as built from
-    :func:`_transform`'s output, whose basis this relies on: T = dec.V^T
-    with the singular values ascending (the last p2 rows of T span the
-    w-observable directions), and O = [Cw; Cw A; ...; Cw A^(n-1)].
+    ``g`` over the blocks of its projection ``tri``, with ``tri`` and ``S``
+    as :func:`_transform` returns them: the rows of T are the right singular
+    vectors of O = [Cw; Cw A; ...; Cw A^(n-1)], ordered by the ascending S.
 
     The projection is invariant under rotations within the first p1 and
     within the last p2 rows of T, so it depends on T only through the
@@ -135,18 +133,16 @@ def _projection_adjoint(m, tri, dec, g):
     (s_i - s_j) for i, j in different groups, dM = d(O^T O). Pairs with a
     zero gap, singular values equal to within ``_RANK_TOL``, contribute 0.
     """
-    n, p1, p, q, T = m.n, tri.p1, m.p, m.q, tri.T
-    p2 = n - p1
-    gAbar = np.block([[g.A11, g.A12], [np.zeros((p2, p1)), g.A22]])
-    gKbar = np.block([[g.K11, g.K12], [np.zeros((p2, p)), g.K22]])
-    gCbar = np.block([[g.C11, g.C12], [np.zeros((q, p1)), g.C22]])
+    n, p1, q, T = m.n, tri.p1, m.q, tri.T
+    gAbar = _upper(g.A11, g.A12, g.A22)
+    gKbar = _upper(g.K11, g.K12, g.K22)
+    gCbar = _upper(g.C11, g.C12, g.C22)
     # Abar = T A T^T, Kbar = T K, Cbar = C T^T; the lower-left blocks are
     # dropped, so their gradient is zero
     gA = T.T @ gAbar @ T
     gK = T.T @ gKbar
     gT = gAbar @ T @ m.A.T + gAbar.T @ T @ m.A + gKbar @ m.K.T + gCbar.T @ m.C
     H = gT @ T.T
-    S = dec.S
     cross = np.zeros((n, n), dtype=bool)
     cross[:p1, p1:] = cross[p1:, :p1] = True
     cross &= np.abs(S[:, None] - S[None, :]) > _RANK_TOL * S[-1]
@@ -179,8 +175,9 @@ def check_feedback_free(m: InnovationJointModel, tol_fb=_TOL_FB) -> FeedbackRepo
     feedback from y to w; the report carries the lower-left residual left
     over after the SVD change of coordinates.
     """
-    _, _, _, _, p1, p2, residual, _ = _transform(m, rank_tol=tol_fb)
-    return FeedbackReport(free=residual <= tol_fb, residual=residual, p1=p1, p2=p2)
+    tri, residual, _ = _transform(m, rank_tol=tol_fb)
+    return FeedbackReport(free=residual <= tol_fb, residual=residual,
+                          p1=tri.p1, p2=tri.p2)
 
 
 def triangularize(
@@ -198,14 +195,14 @@ def triangularize(
     not feedback-free; identification's search projects its iterates
     through :func:`_transform` directly, to reuse the SVD).
     """
-    T, Abar, Kbar, Cbar, p1, p2, residual, _ = _transform(m, rank_tol, p2=p2)
+    tri, residual, _ = _transform(m, rank_tol, p2=p2)
     if residual > tol_fb:
         raise FeedbackViolationError(
             f"no-feedback condition violated: lower-left residual "
             f"{residual:.3g} > {tol_fb:.3g}",
-            residual=residual, p1=p1, p2=p2,
+            residual=residual, p1=tri.p1, p2=tri.p2,
         )
-    return _split(Abar, Kbar, Cbar, m.Q, p1, m.p, T)
+    return tri
 
 
 def markov_parameters(A, K, C, count):

@@ -39,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.optimize import minimize
 
-from .errors import FfestError, IdentificationError
+from .errors import FfestError, IdentificationError, SamplingError
 from .estimator import _state_path, filter_signal, synthesize
 from .matkernel import spectral_radius
 from .metrics import mse, vaf_components
@@ -48,7 +48,7 @@ from .models import (
     InnovationJointModel,
     Trajectory,
     TriangularJointModel,
-    _split,
+    _upper,
     assemble,
 )
 from .realization import (_RANK_TOL, _projection_adjoint, _transform,
@@ -161,7 +161,7 @@ class Parameterization:
         self.free = free
         sizes = [int(mask.sum()) for mask in free.values()]
         self.theta_dim = sum(sizes)
-        self._splits = np.cumsum(sizes)[:-1]
+        self._cuts = np.cumsum(sizes)[:-1]
         dead = dead or {}
         self.dead = np.concatenate(
             [dead.get(name, np.zeros(mask.shape, dtype=bool))[mask]
@@ -175,7 +175,7 @@ class Parameterization:
 
     def decode(self, theta):
         filled = {}
-        parts = np.split(np.asarray(theta, dtype=float), self._splits)
+        parts = np.split(np.asarray(theta, dtype=float), self._cuts)
         for (name, mask), part in zip(self.free.items(), parts):
             filled[name] = getattr(self.template, name).copy()
             filled[name][mask] = part
@@ -183,23 +183,19 @@ class Parameterization:
 
     def _stages(self, theta):
         """The map from theta to the predictor before the barrier, stage by
-        stage: (decoded model, triangular blocks or None, observability SVD
-        or None, predictor). A joint innovation model is projected onto
-        triangular form (iterates are generically not feedback-free) in
-        the SVD basis of its w-observability matrix."""
+        stage: (decoded model, triangular blocks or None, singular values of
+        the projection or None, predictor). A joint innovation model is
+        projected onto triangular form (iterates are generically not
+        feedback-free) in the SVD basis of its w-observability matrix."""
         model = self.decode(theta)
-        tri = dec = None
+        if isinstance(model, EstimatorModel):
+            return model, None, None, model
+        tri, S = model, None
         if isinstance(model, InnovationJointModel):
             # p2 is given, so no rank decision is made
-            T, Abar, Kbar, Cbar, p1, _, _, dec = _transform(
-                model, rank_tol=None, p2=self.dims.p2)
-            tri = _split(Abar, Kbar, Cbar, model.Q, p1, model.p, T)
-        elif isinstance(model, TriangularJointModel):
-            tri = model
-        if tri is None:
-            return model, None, None, model
+            tri, _, S = _transform(model, rank_tol=None, p2=self.dims.p2)
         D0 = np.zeros((self.dims.p, self.dims.q)) if self._postfit else None
-        return model, tri, dec, synthesize(tri, D0=D0)
+        return model, tri, S, synthesize(tri, D0=D0)
 
     def estimator_for(self, theta):
         return _stable(self._stages(theta)[3])
@@ -238,6 +234,11 @@ class SingleEntryParameterization(Parameterization):
         super().__init__("single_entry", dims, base, {block: mask})
 
 
+def _check_case(case):
+    if case not in CASES:
+        raise ValueError(f"unknown case {case!r}; expected one of {CASES}")
+
+
 def _fixed_blocks(case, fixed, shapes):
     """The known blocks ``shapes`` names, taken from ``fixed`` and checked
     against their exact shapes, so that a wrong block raises a ValueError
@@ -258,6 +259,7 @@ def known_blocks(case, truth: TriangularJointModel):
     """The blocks of the true triangular model that ``case`` holds fixed:
     C for gen_full, the w-subsystem (A22, K22, C22, Q22) for the partial
     cases, none for pred_full."""
+    _check_case(case)
     names = {"pred_full": (), "gen_full": ("C",)}.get(
         case, ("A22", "K22", "C22", "Q22"))
     return {k: getattr(truth, k) for k in names}
@@ -273,6 +275,7 @@ def build_parameterization(case, dims, fixed=None):
     n, p1, p2, p, q = dims
     if p1 + p2 != n:
         raise ValueError(f"p1 + p2 must equal n, got {dims}")
+    _check_case(case)
     dead = None
     if case == "pred_full":
         template = EstimatorModel(Atil=np.zeros((n, n)), Ktil=np.zeros((n, q)),
@@ -287,7 +290,7 @@ def build_parameterization(case, dims, fixed=None):
         # the y-innovation columns of K become K11 (or the dropped lower
         # left block), which synthesize multiplies by D0 = 0
         dead = {"K": np.broadcast_to(np.arange(p + q) < p, (n, p + q))}
-    elif case in ("pred_partial", "gen_partial"):
+    else:  # pred_partial, gen_partial
         known = _fixed_blocks(case, fixed, {
             "A22": (p2, p2), "K22": (p2, q), "C22": (q, p2), "Q22": (q, q)})
         template = TriangularJointModel(
@@ -303,8 +306,6 @@ def build_parameterization(case, dims, fixed=None):
         else:
             # synthesize uses K12 + K11 D0, and the search has D0 = 0
             dead = {"K11": np.ones((p1, p), dtype=bool)}
-    else:
-        raise ValueError(f"unknown case {case!r}; expected one of {CASES}")
     masks = {name: np.ones(getattr(template, name).shape, dtype=bool)
              for name in free}
     return Parameterization(case, dims, template, masks, dead)
@@ -384,7 +385,7 @@ def objective_and_gradient(par: Parameterization, theta, data: Trajectory):
     if not np.all(np.isfinite(theta)):
         return failed
     try:
-        model, tri, dec, pred = par._stages(theta)
+        model, tri, S, pred = par._stages(theta)
         est, penalty = _stable(pred)
         # filter_signal's arithmetic, keeping the states
         w = data.w
@@ -403,8 +404,8 @@ def objective_and_gradient(par: Parameterization, theta, data: Trajectory):
         g.Atil = _barrier_adjoint(pred.Atil, g.Atil)
         if tri is not None:
             g = _synthesize_adjoint(tri, pred, g, par._postfit)
-        if dec is not None:
-            g = _projection_adjoint(model, tri, dec, g)
+        if S is not None:
+            g = _projection_adjoint(model, tri, S, g)
         grad = par.encode(g)
     except (FfestError, np.linalg.LinAlgError):
         return failed
@@ -519,11 +520,9 @@ def random_benchmark_system(seed=BENCHMARK_SEED, n=10, p1=4, p2=6, p=3,
         A11 = rng.standard_normal((p1, p1))
         A12 = rng.standard_normal((p1, p2))
         A22 = rng.standard_normal((p2, p2))
-        A = np.block([[A11, A12], [np.zeros((p2, p1)), A22]])
-        rho = spectral_radius(A)
+        rho = spectral_radius(_upper(A11, A12, A22))
         if rho > 0:
-            A *= 0.9 / rho
-            A11, A12, A22 = A[:p1, :p1], A[:p1, p1:], A[p1:, p1:]
+            A11, A12, A22 = (0.9 / rho * X for X in (A11, A12, A22))
         K11 = np.zeros((p1, p))
         K12 = 0.3 * rng.standard_normal((p1, q))
         K22 = 0.3 * rng.standard_normal((p2, q))
@@ -538,18 +537,17 @@ def random_benchmark_system(seed=BENCHMARK_SEED, n=10, p1=4, p2=6, p=3,
             Q11=Q[:p, :p], Q12=Q[:p, p:], Q22=Q[p:, p:],
             T=np.eye(n), p1=p1, p2=p2, p=p, q=q,
         )
-        m = assemble(t)
         # minimum-phase + observable w-subsystem
         if spectral_radius(t.A22 - t.K22 @ t.C22) >= 0.97:
             continue
-        if spectral_radius(m.A - m.K @ m.C) >= 0.98:
+        if spectral_radius(t.A - t.K @ t.C) >= 0.98:
             continue
         sv = np.linalg.svd(observability_matrix(t.A22, t.C22),
                            compute_uv=False)
         if sv[-1] <= _RANK_TOL * sv[0]:
             continue
         return t
-    raise RuntimeError("could not sample a benchmark system")
+    raise SamplingError("could not sample a benchmark system")
 
 
 @dataclass

@@ -124,6 +124,14 @@ class TestAssembleExtract:
         assert np.allclose(m.Q, [[2.0, 1.0], [1.0, 1.0]])
         assert np.allclose(m.K, [[0.2, 0.1], [0.0, 0.4]])
         assert np.allclose(m.C, [[1.0, 0.5], [0.0, 1.0]])
+        # the lower-left blocks are exact zeros, also at an unequal partition
+        for tri in (t, make_triangular_blocks(2, 3)):
+            m, p1, p = assemble(tri), tri.p1, tri.p
+            assert not m.A[p1:, :p1].any()
+            assert not m.K[p1:, :p].any()
+            assert not m.C[p:, :p1].any()
+            assert np.array_equal(m.K[:p1, p:], tri.K12)
+            assert np.array_equal(m.C[p:, p1:], tri.C22)
 
     def test_flip_state_signs_preserves_dynamics(self):
         t = make_triangular()

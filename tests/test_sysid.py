@@ -22,12 +22,13 @@ from ffest import (
     spectral_radius,
     synthesize,
     trajectory_rng,
+    triangularize,
     validate,
     write_benchmark_curve_csv,
     write_benchmark_rows_csv,
     write_benchmark_table_csv,
 )
-from ffest.errors import IdentificationError
+from ffest.errors import FfestError, IdentificationError, SamplingError
 from ffest.sysid import CASES
 
 TABLE_DIMS = Dims(n=10, p1=4, p2=6, p=3, q=2)
@@ -66,6 +67,12 @@ class TestParameterCounts:
     def test_unknown_case_rejected(self):
         with pytest.raises(ValueError):
             build_parameterization("mystery", TABLE_DIMS)
+
+    @pytest.mark.parametrize("case", ["mystery", "single_entry"])
+    def test_known_blocks_rejects_unknown_case(self, case):
+        # the same error as build_parameterization, not the partial blocks
+        with pytest.raises(ValueError, match=f"unknown case '{case}'"):
+            known_blocks(case, random_benchmark_system())
 
     def test_partial_requires_fixed_blocks(self):
         with pytest.raises(ValueError):
@@ -119,6 +126,20 @@ class TestEncodeDecode:
                                      fixed=table_fixed("gen_partial"))
         theta = np.zeros(par.theta_dim)
         assert np.allclose(par.decode(theta).Q12, 0.0)
+
+    def test_gen_full_projection_is_triangularize(self):
+        # the search projects its iterates exactly as the public
+        # triangularize does at the given partition
+        par = build_parameterization("gen_full", TABLE_DIMS,
+                                     fixed=table_fixed("gen_full"))
+        theta = np.random.default_rng(4).standard_normal(par.theta_dim)
+        _, tri, S, _ = par._stages(theta)
+        ref = triangularize(par.decode(theta), tol_fb=np.inf, p2=6)
+        for name in ("A11", "A12", "A22", "K11", "K12", "K22",
+                     "C11", "C12", "C22", "Q11", "Q12", "Q22", "T"):
+            assert np.array_equal(getattr(tri, name), getattr(ref, name))
+        assert (tri.p1, tri.p2) == (ref.p1, ref.p2) == (4, 6)
+        assert np.all(np.diff(S) >= 0.0)
 
     def test_single_entry(self):
         base = random_benchmark_system()
@@ -424,6 +445,14 @@ class TestRandomBenchmarkSystem:
     def test_k11_zero_floor_analytic(self):
         t = random_benchmark_system()
         assert np.allclose(t.K11, 0.0)
+
+    def test_sampling_failure_is_typed(self):
+        # no draw of this 30-state system passes the rejection tests; the
+        # error stays a RuntimeError for callers that redraw on one
+        with pytest.raises(SamplingError) as info:
+            random_benchmark_system(n=30, p1=12, p2=18, p=3, q=2, seed=5)
+        assert isinstance(info.value, FfestError)
+        assert isinstance(info.value, RuntimeError)
 
 
 @pytest.fixture(scope="module")
