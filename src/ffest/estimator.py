@@ -103,10 +103,21 @@ def filter_signal(e: EstimatorModel, w, x0=None):
     w = np.atleast_2d(np.asarray(w, dtype=float))
     if w.shape[1] != e.q:
         raise ValueError(f"w has {w.shape[1]} columns, estimator expects {e.q}")
+    return _filter_states(e, w, x0)[0]
+
+
+def _filter_states(e: EstimatorModel, w, x0=None, X=None):
+    """:func:`filter_signal` on a checked N x q float ``w``, keeping the
+    states: returns ``(yhat, X)`` with X the N x n states xhat(0..N-1).
+    A given ``X`` is taken as the states of ``e`` on ``w`` and not
+    recomputed; yhat is then formed by the same arithmetic."""
     yhat = w @ e.D0.T
-    if e.n:
-        yhat += _state_path(e.Atil, e.Ktil, w, x0) @ e.Ctil.T
-    return yhat
+    if not e.n:
+        return yhat, np.zeros((w.shape[0], 0))
+    if X is None:
+        X = _state_path(e.Atil, e.Ktil, w, x0)
+    yhat += X @ e.Ctil.T
+    return yhat, X
 
 
 def joint_one_step_prediction(m: InnovationJointModel | TriangularJointModel,

@@ -280,37 +280,34 @@ def _pd_defect(Q, tol):
     return None
 
 
+# per model type: the matrices whose spectral radius must lie below a limit,
+# as (field, label, limit), and those that must be positive definite
+_RULES = {
+    StateSpaceModel: ([("A", "A", 1.0)], []),
+    InnovationJointModel: ([("A", "A", 1.0)], ["Q"]),
+    TriangularJointModel: ([("A", "assembled A", 1.0)], ["Q22"]),
+    EstimatorModel: ([("Atil", "Atil", 1.0 + 1e-8)], []),
+    Trajectory: ([], []),  # structural checks already ran in the constructor
+}
+
+
 def validate(model):
     """Check the deep invariants of any model type; returns a report."""
-    v = []
-    if isinstance(model, StateSpaceModel):
-        rho = spectral_radius(model.A)
-        if rho >= 1.0:
-            v.append(f"spectral radius of A is {rho:.6g} >= 1")
-    elif isinstance(model, InnovationJointModel):
-        rho = spectral_radius(model.A)
-        if rho >= 1.0:
-            v.append(f"spectral radius of A is {rho:.6g} >= 1")
-        defect = _pd_defect(model.Q, 1e-9)
-        if defect is not None:
-            kind, val = defect
-            v.append(f"Q not positive definite ({kind}: {val:.6g})")
-    elif isinstance(model, TriangularJointModel):
-        rho = spectral_radius(model.A)
-        if rho >= 1.0:
-            v.append(f"spectral radius of assembled A is {rho:.6g} >= 1")
-        defect = _pd_defect(model.Q22, 1e-9)
-        if defect is not None:
-            kind, val = defect
-            v.append(f"Q22 not positive definite ({kind}: {val:.6g})")
-    elif isinstance(model, EstimatorModel):
-        rho = spectral_radius(model.Atil)
-        if rho >= 1.0 + 1e-8:
-            v.append(f"spectral radius of Atil is {rho:.6g} >= 1")
-    elif isinstance(model, Trajectory):
-        pass  # structural checks already ran in the constructor
-    else:
+    rules = next((r for cls, r in _RULES.items() if isinstance(model, cls)),
+                 None)
+    if rules is None:
         raise TypeError(f"cannot validate object of type {type(model).__name__}")
+    stable, definite = rules
+    v = []
+    for name, label, limit in stable:
+        rho = spectral_radius(getattr(model, name))
+        if rho >= limit:
+            v.append(f"spectral radius of {label} is {rho:.6g} >= 1")
+    for name in definite:
+        defect = _pd_defect(getattr(model, name), 1e-9)
+        if defect is not None:
+            kind, val = defect
+            v.append(f"{name} not positive definite ({kind}: {val:.6g})")
     return ValidationReport(ok=not v, violations=v)
 
 

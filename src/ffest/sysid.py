@@ -26,12 +26,15 @@ the filter matrix. pred_full and gen_full take exact gradients from one
 adjoint (reverse-time) pass of the filter, chained back through the
 barrier, the synthesis block map and gen_full's projection onto triangular
 form (:func:`objective_and_gradient`); the other cases use scipy's
-finite-difference gradients (see :data:`ADJOINT_CASES`). Entries that the
+finite-difference gradients (see :data:`ADJOINT_CASES`), whose probes
+reuse the filter states of the evaluation before when they leave the
+filter matrices (Atil, Ktil) bit for bit unchanged. Entries that the
 search cannot see, because they multiply the D0 = 0 of a generator case,
 are held at their template values.
 """
 
 import warnings
+from copy import copy
 from dataclasses import dataclass, field, replace
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -39,8 +42,9 @@ from typing import NamedTuple
 import numpy as np
 from scipy.optimize import minimize
 
-from .errors import FfestError, IdentificationError, SamplingError
-from .estimator import _state_path, filter_signal, synthesize
+from .errors import (FfestError, IdentificationError, SamplingError,
+                     ValidationError)
+from .estimator import _filter_states, _state_path, filter_signal, synthesize
 from .matkernel import spectral_radius
 from .metrics import mse, vaf_components
 from .models import (
@@ -174,12 +178,21 @@ class Parameterization:
                                for name, mask in self.free.items()])
 
     def decode(self, theta):
-        filled = {}
-        parts = np.split(np.asarray(theta, dtype=float), self._cuts)
-        for (name, mask), part in zip(self.free.items(), parts):
-            filled[name] = getattr(self.template, name).copy()
-            filled[name][mask] = part
-        return replace(self.template, **filled)
+        theta = np.asarray(theta, dtype=float)
+        if theta.shape != (self.theta_dim,):
+            raise ValueError(f"theta has shape {theta.shape}, expected "
+                             f"({self.theta_dim},)")
+        if not np.all(np.isfinite(theta)):
+            raise ValidationError("theta contains non-finite entries")
+        # the template passed the constructor checks and each mask fills
+        # its block in place, so the copy needs none of them
+        model = copy(self.template)
+        for (name, mask), part in zip(self.free.items(),
+                                      np.split(theta, self._cuts)):
+            block = getattr(self.template, name).copy()
+            block[mask] = part
+            setattr(model, name, block)
+        return model
 
     def _stages(self, theta):
         """The map from theta to the predictor before the barrier, stage by
@@ -311,19 +324,38 @@ def build_parameterization(case, dims, fixed=None):
     return Parameterization(case, dims, template, masks, dead)
 
 
-def objective(par: Parameterization, theta, data: Trajectory):
+class _StateMemo:
+    """The states of the last predictor one fit filtered, keyed by the exact
+    bytes of its (Atil, Ktil). Finite-difference probes that change only
+    Ctil, or entries the predictor does not see, reuse them."""
+
+    def __init__(self):
+        self.key, self.X = None, None
+
+    def filter(self, est: EstimatorModel, w):
+        key = (est.Atil.tobytes(), est.Ktil.tobytes())
+        yhat, self.X = _filter_states(
+            est, w, X=self.X if key == self.key else None)
+        self.key = key
+        return yhat
+
+
+def objective(par: Parameterization, theta, data: Trajectory, *,
+              _memo=None):
     """Prediction-error MSE of the decoded predictor on ``data``.
 
     Unstable iterates are evaluated at the projected-stable model plus a
     penalty proportional to the spectral-radius excess; undecodable
-    parameter vectors yield +inf.
+    parameter vectors yield +inf. :func:`identify` passes ``_memo``, a
+    :class:`_StateMemo` for its own data, to its finite-difference search.
     """
     theta = np.asarray(theta, dtype=float)
     if not np.all(np.isfinite(theta)):
         return np.inf
     try:
         est, penalty = par.estimator_for(theta)
-        yhat = filter_signal(est, data.w)
+        yhat = (filter_signal(est, data.w) if _memo is None
+                else _memo.filter(est, data.w))
         value = mse(data.y, yhat) + penalty
     except (FfestError, np.linalg.LinAlgError):
         return np.inf
@@ -387,11 +419,8 @@ def objective_and_gradient(par: Parameterization, theta, data: Trajectory):
     try:
         model, tri, S, pred = par._stages(theta)
         est, penalty = _stable(pred)
-        # filter_signal's arithmetic, keeping the states
         w = data.w
-        X = _state_path(est.Atil, est.Ktil, w)
-        yhat = w @ est.D0.T
-        yhat += X @ est.Ctil.T
+        yhat, X = _filter_states(est, w)
         value = mse(data.y, yhat) + penalty
         if not np.isfinite(value):
             return failed
@@ -459,7 +488,8 @@ def identify(par: Parameterization, data: Trajectory,
     if par.case in ADJOINT_CASES:
         fun, jac = (lambda th: objective_and_gradient(par, th, data)), True
     else:
-        fun, jac = (lambda th: objective(par, th, data)), None
+        memo = _StateMemo()
+        fun, jac = (lambda th: objective(par, th, data, _memo=memo)), None
 
     best = None
     total_iters = 0

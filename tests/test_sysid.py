@@ -1,10 +1,12 @@
 """Parameterizations, prediction-error objective, identify, benchmark."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+import ffest.estimator
+import ffest.sysid
 from ffest import (
     Dims,
     OptimizerConfig,
@@ -13,6 +15,7 @@ from ffest import (
     assemble,
     benchmark,
     build_parameterization,
+    filter_signal,
     identify,
     known_blocks,
     objective,
@@ -28,7 +31,9 @@ from ffest import (
     write_benchmark_rows_csv,
     write_benchmark_table_csv,
 )
-from ffest.errors import FfestError, IdentificationError, SamplingError
+from ffest.errors import (FfestError, IdentificationError, SamplingError,
+                          ValidationError)
+from ffest.metrics import mse
 from ffest.sysid import CASES
 
 TABLE_DIMS = Dims(n=10, p1=4, p2=6, p=3, q=2)
@@ -36,6 +41,15 @@ TABLE_DIMS = Dims(n=10, p1=4, p2=6, p=3, q=2)
 
 def table_fixed(case):
     return known_blocks(case, random_benchmark_system())
+
+
+def table_par(case):
+    """The parameterization of ``case`` for the benchmark system; for
+    single_entry, its C11[0, 0], which leaves Atil and Ktil unchanged."""
+    if case == "single_entry":
+        return SingleEntryParameterization(random_benchmark_system(),
+                                           block="C11", index=(0, 0))
+    return build_parameterization(case, TABLE_DIMS, fixed=table_fixed(case))
 
 
 class TestParameterCounts:
@@ -149,6 +163,49 @@ class TestEncodeDecode:
         assert m.A12[0, 0] == pytest.approx(0.123)
         assert np.allclose(m.A11, base.A11)
 
+    @pytest.mark.parametrize("case", CASES + ("single_entry",))
+    def test_decode_matches_checked_construction(self, case):
+        # decode skips the constructor checks; it must build the model the
+        # checked constructor builds, sharing the same template arrays
+        par = table_par(case)
+        theta = np.random.default_rng(6).standard_normal(par.theta_dim)
+        kept = par.encode(par.template)
+        filled = {}
+        for (name, mask), part in zip(par.free.items(),
+                                      np.split(theta, par._cuts)):
+            filled[name] = getattr(par.template, name).copy()
+            filled[name][mask] = part
+        ref = replace(par.template, **filled)
+        m = par.decode(theta)
+        assert type(m) is type(ref)
+        for f in fields(ref):
+            got, want = getattr(m, f.name), getattr(ref, f.name)
+            if f.type is np.ndarray:
+                assert got.shape == want.shape
+                assert np.array_equal(got, want)
+                shared = getattr(par.template, f.name)
+                assert (got is shared) == (want is shared)
+            else:
+                assert got == want
+        assert np.array_equal(par.encode(par.template), kept)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("case", ["pred_partial", "single_entry"])
+    def test_decode_rejects_non_finite_theta(self, case, bad):
+        par = table_par(case)
+        theta = np.zeros(par.theta_dim)
+        theta[-1] = bad
+        with pytest.raises(ValidationError, match="non-finite"):
+            par.decode(theta)
+
+    @pytest.mark.parametrize("extra", [-1, 1, -5])
+    def test_decode_rejects_wrong_length(self, extra):
+        # extra = -5 leaves one entry for Q12's six, which numpy would
+        # broadcast into the whole block
+        par = table_par("pred_partial")
+        with pytest.raises(ValueError, match="theta has shape"):
+            par.decode(np.zeros(par.theta_dim + extra))
+
 
 class TestObjective:
     def test_true_predictor_attains_floor(self):
@@ -183,6 +240,61 @@ class TestObjective:
         val = objective(par, theta_bad, traj)
         assert np.isfinite(val)
         assert val > objective(par, theta, traj)
+
+
+class TestStateMemo:
+    """identify's finite-difference search reuses the states of the last
+    predictor it filtered when (Atil, Ktil) are bit for bit the same."""
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        return simulate(assemble(random_benchmark_system()),
+                        SimConfig(N=150, seed=6))
+
+    @staticmethod
+    def plain(par, theta, data):
+        est, penalty = par.estimator_for(theta)
+        return mse(data.y, filter_signal(est, data.w)) + penalty
+
+    @pytest.mark.parametrize("case",
+                             ["pred_partial", "gen_partial", "single_entry"])
+    def test_search_values_are_exact(self, data, case, monkeypatch):
+        par = table_par(case)
+        evaluated, paths = [], []
+        objective_ = ffest.sysid.objective
+        state_path = ffest.estimator._state_path
+
+        def recording(par, theta, data, **kwargs):
+            value = objective_(par, theta, data, **kwargs)
+            evaluated.append((np.array(theta, dtype=float), value))
+            return value
+
+        def counting(*args):
+            paths.append(None)
+            return state_path(*args)
+
+        monkeypatch.setattr(ffest.sysid, "objective", recording)
+        monkeypatch.setattr(ffest.estimator, "_state_path", counting)
+        identify(par, data, opt=OptimizerConfig(restarts=0, maxiter=5))
+        monkeypatch.undo()
+        # some probes reused the states (the count includes the post-fit)
+        assert len(paths) < len(evaluated)
+        for theta, value in evaluated:
+            assert value == self.plain(par, theta, data)
+
+    def test_fits_do_not_share_states(self):
+        t = random_benchmark_system()
+        trajs = [simulate(assemble(t), SimConfig(N=150, seed=seed))
+                 for seed in (7, 8)]
+        opt = OptimizerConfig(restarts=0, maxiter=5)
+        par = table_par("pred_partial")
+        for traj in trajs:
+            fit = identify(par, traj, opt=opt)
+            fresh = identify(table_par("pred_partial"), traj, opt=opt)
+            assert np.array_equal(fit.theta, fresh.theta)
+        theta = fit.theta
+        for traj in trajs:
+            assert objective(par, theta, traj) == self.plain(par, theta, traj)
 
 
 def gradient_points():
