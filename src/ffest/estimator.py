@@ -26,17 +26,20 @@ __all__ = [
 
 
 def compute_d0(Q12, Q22):
-    """Static gain mapping the input innovation to the direct correction."""
+    """Static gain mapping the input innovation to the direct correction;
+    leading axes of Q12 and Q22 stack."""
     Q12 = np.atleast_2d(np.asarray(Q12, dtype=float))
     Q22 = np.atleast_2d(np.asarray(Q22, dtype=float))
+    Q22t = Q22.swapaxes(-1, -2)
     if Q22.size:
-        lam_min = float(np.min(np.linalg.eigvalsh(0.5 * (Q22 + Q22.T))))
-        if lam_min <= 1e-12 * (1.0 + np.linalg.norm(Q22)):
+        lam_min = np.min(np.linalg.eigvalsh(0.5 * (Q22 + Q22t)), axis=-1)
+        scale = 1.0 + np.linalg.norm(Q22, axis=(-2, -1))
+        if np.any(lam_min <= 1e-12 * scale):
             raise IndefiniteCovarianceError(
                 f"input innovation covariance is singular "
-                f"(smallest eigenvalue {lam_min:.3g})"
+                f"(smallest eigenvalue {np.min(lam_min):.3g})"
             )
-    return np.linalg.solve(Q22.T, Q12.T).T
+    return np.linalg.solve(Q22t, Q12.swapaxes(-1, -2)).swapaxes(-1, -2)
 
 
 def synthesize(t: TriangularJointModel, D0=None) -> EstimatorModel:
@@ -49,38 +52,66 @@ def synthesize(t: TriangularJointModel, D0=None) -> EstimatorModel:
         D0 = compute_d0(t.Q12, t.Q22)
     else:
         D0 = np.atleast_2d(np.asarray(D0, dtype=float))
+    return EstimatorModel(*_estimator_blocks(t, D0), D0=D0)
+
+
+def _estimator_blocks(t, D0):
+    """(Atil, Ktil, Ctil) of the estimator from the triangular blocks of
+    ``t`` (any object with the block attributes) and the direct gain D0, by
+    the formulas of the module docstring. The blocks and D0 may carry one
+    leading stack axis; all or none of them do."""
     KD = t.K12 + t.K11 @ D0
     Atil = _upper(t.A11, t.A12 - KD @ t.C22, t.A22 - t.K22 @ t.C22)
-    Ktil = np.vstack([KD, t.K22])
-    Ctil = np.hstack([t.C11, t.C12 - D0 @ t.C22])
-    return EstimatorModel(Atil=Atil, Ktil=Ktil, Ctil=Ctil, D0=D0)
+    Ktil = np.concatenate([KD, t.K22], axis=-2)
+    Ctil = np.concatenate([t.C11, t.C12 - D0 @ t.C22], axis=-1)
+    return Atil, Ktil, Ctil
 
 
 def _state_path(A, B, u, x0=None):
-    """States x(0..N-1) of x+ = A x + B u(t), started from x0 (default 0).
+    """States x(0..N-1) of x+ = A x + B u(t), started from x0 (default 0)."""
+    return next(_state_paths(A[None], B[None], u, x0))
 
-    Computed through per-mode first-order recursions in the eigenbasis
+
+def _state_paths(A, B, u, x0=None):
+    """State paths of x+ = A[j] x + B[j] u(t) for each pair stacked along
+    the first axis of A and B, all started from x0 (default 0); yields one
+    N x n path at a time, in stack order.
+
+    The decomposition half runs on the whole stack at once: the eigenbasis
+    of each A[j], its condition number, and the modal input map. numpy's
+    stacked LAPACK calls give each matrix the bits it gets alone. The run
+    half is per path: per-mode first-order recursions in the eigenbasis
     (C-speed via ``lfilter``) on the one-step-shifted modal input, whose
-    first sample is the modal initial state; falls back to the plain time
-    loop when A is too far from diagonalizable.
+    first sample is the modal initial state. A path falls back to the
+    plain time loop when its A is too far from diagonalizable.
     """
-    N = u.shape[0]
-    n = A.shape[0]
     try:
         lam, W = np.linalg.eig(A)
         cond = np.linalg.cond(W)
-        if np.isfinite(cond) and cond < 1e8:
-            s = np.zeros((N, n), dtype=complex)
-            s[1:] = (u @ np.linalg.solve(W, B.astype(complex)).T)[:-1]
-            if x0 is not None and N:
-                s[0] = np.linalg.solve(
-                    W, np.asarray(x0, dtype=complex).reshape(n))
-            for i in range(n):
-                s[:, i] = lfilter([1.0], [1.0, -lam[i]], s[:, i])
-            return (s @ W.T).real
+        modal = np.isfinite(cond) & (cond < 1e8)
+        WB = iter(np.linalg.solve(W[modal], B[modal].astype(complex)))
     except np.linalg.LinAlgError:
-        pass
-    return _state_loop(A, B, u, x0)
+        if len(A) > 1:  # decompose each pair alone, as if given alone
+            for j in range(len(A)):
+                yield from _state_paths(A[j:j + 1], B[j:j + 1], u, x0)
+            return
+        modal = [False]
+    for j in range(len(A)):
+        yield (_modal_run(lam[j], W[j], next(WB), u, x0) if modal[j]
+               else _state_loop(A[j], B[j], u, x0))
+
+
+def _modal_run(lam, W, WB, u, x0=None):
+    """The run half of :func:`_state_paths` for one path: eigenvalues
+    ``lam``, eigenvectors ``W`` and modal input map ``WB`` = W^-1 B."""
+    N, n = u.shape[0], lam.shape[0]
+    s = np.zeros((N, n), dtype=complex)
+    s[1:] = (u @ WB.T)[:-1]
+    if x0 is not None and N:
+        s[0] = np.linalg.solve(W, np.asarray(x0, dtype=complex).reshape(n))
+    for i in range(n):
+        s[:, i] = lfilter([1.0], [1.0, -lam[i]], s[:, i])
+    return (s @ W.T).real
 
 
 def _state_loop(A, B, u, x0=None):
@@ -106,18 +137,33 @@ def filter_signal(e: EstimatorModel, w, x0=None):
     return _filter_states(e, w, x0)[0]
 
 
-def _filter_states(e: EstimatorModel, w, x0=None, X=None):
+def _filter_states(e: EstimatorModel, w, x0=None):
     """:func:`filter_signal` on a checked N x q float ``w``, keeping the
-    states: returns ``(yhat, X)`` with X the N x n states xhat(0..N-1).
-    A given ``X`` is taken as the states of ``e`` on ``w`` and not
-    recomputed; yhat is then formed by the same arithmetic."""
-    yhat = w @ e.D0.T
-    if not e.n:
-        return yhat, np.zeros((w.shape[0], 0))
-    if X is None:
-        X = _state_path(e.Atil, e.Ktil, w, x0)
-    yhat += X @ e.Ctil.T
+    states: returns ``(yhat, X)`` with X the N x n states xhat(0..N-1)."""
+    _, yhat, X = next(_filter_stack(e.Atil[None], e.Ktil[None], e.Ctil[None],
+                                    e.D0[None], w, x0))
     return yhat, X
+
+
+def _filter_stack(Atil, Ktil, Ctil, D0, w, x0=None):
+    """:func:`_filter_states` of each predictor whose matrices are stacked
+    along the first axis; yields ``(index, yhat, X)`` one predictor at a
+    time. Predictors whose (Atil, Ktil) are equal bit for bit share one
+    state path."""
+    paths = {}
+    for i in range(len(Atil)):
+        paths.setdefault((Atil[i].tobytes(), Ktil[i].tobytes()), []).append(i)
+    first = [items[0] for items in paths.values()]
+    if Atil.shape[-1]:
+        states = _state_paths(Atil[first], Ktil[first], w, x0)
+    else:
+        states = (np.zeros((w.shape[0], 0)) for _ in first)
+    for X, items in zip(states, paths.values()):
+        for i in items:
+            yhat = w @ D0[i].T
+            if X.shape[1]:
+                yhat += X @ Ctil[i].T
+            yield i, yhat, X
 
 
 def joint_one_step_prediction(m: InnovationJointModel | TriangularJointModel,

@@ -75,18 +75,21 @@ def svd(M):
 
 
 def spectral_radius(A):
-    """Largest eigenvalue magnitude of a square matrix."""
+    """Largest eigenvalue magnitude of a square matrix, as a float; of each
+    matrix of a stack (leading axes), as an array."""
     A = np.asarray(A, dtype=float)
-    if A.shape[0] != A.shape[1]:
+    if A.ndim < 2 or A.shape[-2] != A.shape[-1]:
         raise ValueError(f"spectral radius needs a square matrix, got {A.shape}")
-    if A.size == 0:
-        return 0.0
-    try:
-        return float(np.max(np.abs(np.linalg.eigvals(A))))
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(
-            f"eigenvalue iteration failed for a {A.shape[0]}x{A.shape[1]} matrix"
-        ) from exc
+    if A.shape[-1] == 0:
+        rho = np.zeros(A.shape[:-2])
+    else:
+        try:
+            rho = np.max(np.abs(np.linalg.eigvals(A)), axis=-1)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(
+                f"eigenvalue iteration failed for a {A.shape[-2]}x"
+                f"{A.shape[-1]} matrix") from exc
+    return float(rho) if A.ndim == 2 else rho
 
 
 def _require_stable(A, what="A"):

@@ -80,12 +80,13 @@ class _Matrices:
 
 
 def _upper(X11, X12, X22):
-    """[[X11, X12], [0, X22]], with an exact zero lower-left block."""
-    r1, c1 = X11.shape
-    X = np.zeros((r1 + X22.shape[0], c1 + X22.shape[1]))
-    X[:r1, :c1] = X11
-    X[:r1, c1:] = X12
-    X[r1:, c1:] = X22
+    """[[X11, X12], [0, X22]], with an exact zero lower-left block; leading
+    axes of the blocks stack."""
+    r1, c1 = X11.shape[-2:]
+    X = np.zeros(X11.shape[:-2] + (r1 + X22.shape[-2], c1 + X22.shape[-1]))
+    X[..., :r1, :c1] = X11
+    X[..., :r1, c1:] = X12
+    X[..., r1:, c1:] = X22
     return X
 
 

@@ -27,10 +27,12 @@ adjoint (reverse-time) pass of the filter, chained back through the
 barrier, the synthesis block map and gen_full's projection onto triangular
 form (:func:`objective_and_gradient`); the other cases use scipy's
 finite-difference gradients (see :data:`ADJOINT_CASES`), whose probes
-reuse the filter states of the evaluation before when they leave the
-filter matrices (Atil, Ktil) bit for bit unchanged. Entries that the
-search cannot see, because they multiply the D0 = 0 of a generator case,
-are held at their template values.
+are evaluated as one batch (:func:`objective_batch`): stacked synthesis,
+barrier and eigendecompositions, and one filter state path per distinct
+pair of filter matrices (Atil, Ktil), with values bit-identical to
+:func:`objective`'s. Entries that the search cannot see, because they
+multiply the D0 = 0 of a generator case, are held at their template
+values.
 """
 
 import warnings
@@ -44,7 +46,8 @@ from scipy.optimize import minimize
 
 from .errors import (FfestError, IdentificationError, SamplingError,
                      ValidationError)
-from .estimator import _filter_states, _state_path, filter_signal, synthesize
+from .estimator import (_estimator_blocks, _filter_stack, _filter_states,
+                        _state_path, compute_d0, filter_signal, synthesize)
 from .matkernel import spectral_radius
 from .metrics import mse, vaf_components
 from .models import (
@@ -52,6 +55,8 @@ from .models import (
     InnovationJointModel,
     Trajectory,
     TriangularJointModel,
+    _check_finite,
+    _matrix_names,
     _upper,
     assemble,
 )
@@ -68,6 +73,7 @@ __all__ = [
     "known_blocks",
     "FitResult",
     "objective",
+    "objective_batch",
     "objective_and_gradient",
     "identify",
     "random_benchmark_system",
@@ -111,15 +117,20 @@ class OptimizerConfig:
     seed: int = 0
 
 
+def _barrier(rho):
+    """The stability barrier at spectral radius ``rho`` of the filter
+    matrix, as ``(scale, penalty)``: the factor that brings the matrix
+    inside the stability limit, or None below it, and the penalty."""
+    if rho < _STAB_LIMIT:
+        return None, 0.0
+    return _STAB_LIMIT / rho, _STAB_PENALTY * (rho - _STAB_LIMIT)
+
+
 def _stable(est: EstimatorModel):
     """Scale Atil inside the stability limit; returns (est', penalty)."""
-    if est.n == 0:
-        return est, 0.0
-    rho = spectral_radius(est.Atil)
-    if rho < _STAB_LIMIT:
-        return est, 0.0
-    return (replace(est, Atil=est.Atil * (_STAB_LIMIT / rho)),
-            _STAB_PENALTY * (rho - _STAB_LIMIT))
+    scale, penalty = _barrier(spectral_radius(est.Atil))
+    return (est if scale is None else replace(est, Atil=est.Atil * scale),
+            penalty)
 
 
 def _innovations(A, K, C, z):
@@ -178,21 +189,40 @@ class Parameterization:
                                for name, mask in self.free.items()])
 
     def decode(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != (self.theta_dim,):
-            raise ValueError(f"theta has shape {theta.shape}, expected "
-                             f"({self.theta_dim},)")
-        if not np.all(np.isfinite(theta)):
-            raise ValidationError("theta contains non-finite entries")
+        blocks = self._blocks(np.asarray(theta, dtype=float)[None])
         # the template passed the constructor checks and each mask fills
         # its block in place, so the copy needs none of them
         model = copy(self.template)
-        for (name, mask), part in zip(self.free.items(),
-                                      np.split(theta, self._cuts)):
-            block = getattr(self.template, name).copy()
-            block[mask] = part
-            setattr(model, name, block)
+        for name in self.free:
+            setattr(model, name, getattr(blocks, name)[0])
         return model
+
+    def _blocks(self, thetas):
+        """The template's matrices at each row of ``thetas``, as a namespace
+        of P x rows x cols stacks: free entries taken from the rows, the
+        rest broadcast from the template."""
+        if thetas.shape[1:] != (self.theta_dim,):
+            raise ValueError(f"theta has shape {thetas.shape[1:]}, expected "
+                             f"({self.theta_dim},)")
+        if not np.all(np.isfinite(thetas)):
+            raise ValidationError("theta contains non-finite entries")
+        P = len(thetas)
+        blocks = {}
+        for name in _matrix_names(type(self.template)):
+            block = getattr(self.template, name)
+            blocks[name] = np.broadcast_to(block, (P,) + block.shape)
+        for (name, mask), part in zip(self.free.items(),
+                                      np.split(thetas, self._cuts, axis=1)):
+            block = blocks[name].copy()
+            block[:, mask] = part
+            blocks[name] = block
+        return SimpleNamespace(**blocks)
+
+    def _d0(self, t):
+        """The direct gain the search synthesizes with, from the blocks of
+        ``t`` (stacked or not): zero for the post-fit cases."""
+        return (np.zeros(t.Q12.shape) if self._postfit
+                else compute_d0(t.Q12, t.Q22))
 
     def _stages(self, theta):
         """The map from theta to the predictor before the barrier, stage by
@@ -207,8 +237,22 @@ class Parameterization:
         if isinstance(model, InnovationJointModel):
             # p2 is given, so no rank decision is made
             tri, _, S = _transform(model, rank_tol=None, p2=self.dims.p2)
-        D0 = np.zeros((self.dims.p, self.dims.q)) if self._postfit else None
-        return model, tri, S, synthesize(tri, D0=D0)
+        return model, tri, S, synthesize(tri, D0=self._d0(tri))
+
+    def _predictors(self, thetas):
+        """The predictors of :meth:`_stages` at each row of ``thetas``, as
+        stacked ``(Atil, Ktil, Ctil, D0)``; a joint innovation template is
+        projected row by row."""
+        if isinstance(self.template, InnovationJointModel):
+            preds = [self._stages(theta)[3] for theta in thetas]
+            return [np.stack([getattr(e, name) for e in preds])
+                    for name in _matrix_names(EstimatorModel)]
+        b = self._blocks(thetas)
+        if isinstance(self.template, EstimatorModel):
+            # a copy: objective_batch scales Atil in place
+            return b.Atil.copy(), b.Ktil, b.Ctil, b.D0
+        D0 = self._d0(b)
+        return (*_estimator_blocks(b, D0), D0)
 
     def estimator_for(self, theta):
         return _stable(self._stages(theta)[3])
@@ -324,42 +368,50 @@ def build_parameterization(case, dims, fixed=None):
     return Parameterization(case, dims, template, masks, dead)
 
 
-class _StateMemo:
-    """The states of the last predictor one fit filtered, keyed by the exact
-    bytes of its (Atil, Ktil). Finite-difference probes that change only
-    Ctil, or entries the predictor does not see, reuse them."""
-
-    def __init__(self):
-        self.key, self.X = None, None
-
-    def filter(self, est: EstimatorModel, w):
-        key = (est.Atil.tobytes(), est.Ktil.tobytes())
-        yhat, self.X = _filter_states(
-            est, w, X=self.X if key == self.key else None)
-        self.key = key
-        return yhat
-
-
-def objective(par: Parameterization, theta, data: Trajectory, *,
-              _memo=None):
+def objective(par: Parameterization, theta, data: Trajectory):
     """Prediction-error MSE of the decoded predictor on ``data``.
 
     Unstable iterates are evaluated at the projected-stable model plus a
     penalty proportional to the spectral-radius excess; undecodable
-    parameter vectors yield +inf. :func:`identify` passes ``_memo``, a
-    :class:`_StateMemo` for its own data, to its finite-difference search.
+    parameter vectors yield +inf. This is :func:`objective_batch` of one.
     """
-    theta = np.asarray(theta, dtype=float)
-    if not np.all(np.isfinite(theta)):
-        return np.inf
+    return objective_batch(par, np.asarray(theta, dtype=float)[None], data)[0]
+
+
+def objective_batch(par: Parameterization, thetas, data: Trajectory):
+    """:func:`objective` at each row of ``thetas``, as a list of floats.
+
+    The rows are decoded, synthesized, stabilized and eigendecomposed as
+    one stack, and predictors whose (Atil, Ktil) are equal bit for bit are
+    filtered along one state path, one predictor at a time. The values are
+    those of :func:`objective` bit for bit: every stacked step gives each
+    row the bits it gets alone, and when any row fails a check, each row is
+    evaluated alone. :func:`identify` passes this to L-BFGS-B as its
+    ``workers`` map, so that a finite-difference gradient is one batch.
+    """
+    thetas = np.asarray(thetas, dtype=float)
     try:
-        est, penalty = par.estimator_for(theta)
-        yhat = (filter_signal(est, data.w) if _memo is None
-                else _memo.filter(est, data.w))
-        value = mse(data.y, yhat) + penalty
+        Atil, Ktil, Ctil, D0 = par._predictors(thetas)
+        for name, a in zip(_matrix_names(EstimatorModel),
+                           (Atil, Ktil, Ctil, D0)):
+            _check_finite(name, a)
+        penalty = []
+        for i, rho in enumerate(spectral_radius(Atil)):
+            scale, pen = _barrier(rho)
+            if scale is not None:
+                Atil[i] = Atil[i] * scale
+            penalty.append(pen)
+        _check_finite("Atil", Atil)
     except (FfestError, np.linalg.LinAlgError):
-        return np.inf
-    return value if np.isfinite(value) else np.inf
+        if len(thetas) == 1:
+            return [np.inf]
+        return [objective(par, theta, data) for theta in thetas]
+    values = [np.inf] * len(thetas)
+    for i, yhat, _ in _filter_stack(Atil, Ktil, Ctil, D0, data.w):
+        value = mse(data.y, yhat) + penalty[i]
+        if np.isfinite(value):
+            values[i] = float(value)
+    return values
 
 
 def _barrier_adjoint(Atil, g):
@@ -369,9 +421,9 @@ def _barrier_adjoint(Atil, g):
     differentiable where its eigenvalue (pair) is simple, with
     d rho = Re(conj(lam) u^H dA v) / (|lam| u^H v)."""
     rho = spectral_radius(Atil)
-    if rho < _STAB_LIMIT:
+    scale, _ = _barrier(rho)
+    if scale is None:
         return g
-    scale = _STAB_LIMIT / rho
     lam, V = np.linalg.eig(Atil)
     k = int(np.argmax(np.abs(lam)))
     # left eigenvector u^H = row k of V^-1, so that u^H v = 1
@@ -450,6 +502,7 @@ class FitResult:
     estimator: EstimatorModel
     training_mse: float
     iterations: int
+    evaluations: int  # objective values computed, start checks included
     converged: bool
     restarts_used: int
     messages: list = field(default_factory=list)
@@ -485,27 +538,28 @@ def identify(par: Parameterization, data: Trajectory,
     pinned = par.encode(par.template)[par.dead]
     for x0 in starts:
         x0[par.dead] = pinned
+    options = {"maxiter": opt.maxiter, "gtol": _GTOL, "ftol": _FTOL}
     if par.case in ADJOINT_CASES:
         fun, jac = (lambda th: objective_and_gradient(par, th, data)), True
     else:
-        memo = _StateMemo()
-        fun, jac = (lambda th: objective(par, th, data, _memo=memo)), None
+        fun, jac = (lambda th: objective(par, th, data)), None
+        # scipy maps its own wrapper of fun over the probes of each
+        # finite-difference gradient; evaluate them as one batch instead
+        options["workers"] = (
+            lambda _, probes: objective_batch(par, list(probes), data))
 
     best = None
     total_iters = 0
+    evaluations = 0
     messages = []
     for i, x0 in enumerate(starts):
+        evaluations += 1
         if not np.isfinite(objective(par, x0, data)):
             messages.append(f"start {i}: objective not finite at x0")
             continue
-        res = minimize(
-            fun,
-            x0,
-            jac=jac,
-            method="L-BFGS-B",
-            options={"maxiter": opt.maxiter, "gtol": _GTOL, "ftol": _FTOL},
-        )
+        res = minimize(fun, x0, jac=jac, method="L-BFGS-B", options=options)
         total_iters += int(res.nit)
+        evaluations += int(res.nfev)
         if not np.isfinite(res.fun):
             messages.append(f"start {i}: diverged ({res.message})")
             continue
@@ -523,6 +577,7 @@ def identify(par: Parameterization, data: Trajectory,
         estimator=est,
         training_mse=training,
         iterations=total_iters,
+        evaluations=evaluations,
         converged=bool(best.success),
         restarts_used=len(starts) - 1,
         messages=messages,

@@ -242,45 +242,74 @@ class TestObjective:
         assert val > objective(par, theta, traj)
 
 
+@pytest.fixture(scope="module")
+def fd_data():
+    return simulate(assemble(random_benchmark_system()),
+                    SimConfig(N=150, seed=6))
+
+
+def plain_objective(par, theta, data):
+    est, penalty = par.estimator_for(theta)
+    return mse(data.y, filter_signal(est, data.w)) + penalty
+
+
+def record_evaluations(monkeypatch, evaluated):
+    """Append every (theta, value) that objective and objective_batch
+    compute to ``evaluated``; a call made inside another is the same
+    evaluation and is not recorded again."""
+    depth = [0]
+
+    def wrap(fn, batch):
+        def recording(par, thetas, data):
+            depth[0] += 1
+            try:
+                values = fn(par, thetas, data)
+            finally:
+                depth[0] -= 1
+            if not depth[0]:
+                rows, vals = ((thetas, values) if batch
+                              else ([thetas], [values]))
+                evaluated.extend(zip(np.array(rows, dtype=float), vals))
+            return values
+        return recording
+
+    monkeypatch.setattr(ffest.sysid, "objective",
+                        wrap(ffest.sysid.objective, False))
+    monkeypatch.setattr(ffest.sysid, "objective_batch",
+                        wrap(ffest.sysid.objective_batch, True))
+
+
+def count_state_paths(monkeypatch):
+    """A list that gains one entry per state path run."""
+    paths = []
+    for name in ("_modal_run", "_state_loop"):
+        def counting(*args, run=getattr(ffest.estimator, name)):
+            paths.append(None)
+            return run(*args)
+        monkeypatch.setattr(ffest.estimator, name, counting)
+    return paths
+
+
 class TestStateMemo:
-    """identify's finite-difference search reuses the states of the last
-    predictor it filtered when (Atil, Ktil) are bit for bit the same."""
-
-    @pytest.fixture(scope="class")
-    def data(self):
-        return simulate(assemble(random_benchmark_system()),
-                        SimConfig(N=150, seed=6))
-
-    @staticmethod
-    def plain(par, theta, data):
-        est, penalty = par.estimator_for(theta)
-        return mse(data.y, filter_signal(est, data.w)) + penalty
+    """identify's finite-difference probes share filter states: each
+    gradient is one batch, with one state path per distinct (Atil, Ktil)
+    bit pattern."""
 
     @pytest.mark.parametrize("case",
                              ["pred_partial", "gen_partial", "single_entry"])
-    def test_search_values_are_exact(self, data, case, monkeypatch):
+    def test_search_values_are_exact(self, fd_data, case, monkeypatch):
         par = table_par(case)
-        evaluated, paths = [], []
-        objective_ = ffest.sysid.objective
-        state_path = ffest.estimator._state_path
-
-        def recording(par, theta, data, **kwargs):
-            value = objective_(par, theta, data, **kwargs)
-            evaluated.append((np.array(theta, dtype=float), value))
-            return value
-
-        def counting(*args):
-            paths.append(None)
-            return state_path(*args)
-
-        monkeypatch.setattr(ffest.sysid, "objective", recording)
-        monkeypatch.setattr(ffest.estimator, "_state_path", counting)
-        identify(par, data, opt=OptimizerConfig(restarts=0, maxiter=5))
+        evaluated = []
+        paths = count_state_paths(monkeypatch)
+        record_evaluations(monkeypatch, evaluated)
+        identify(par, fd_data, opt=OptimizerConfig(restarts=0, maxiter=5))
         monkeypatch.undo()
-        # some probes reused the states (the count includes the post-fit)
-        assert len(paths) < len(evaluated)
+        # probes of one gradient shared states (the count includes the
+        # post-fit); single_entry's gradient has one probe, nothing to share
+        if par.theta_dim > 1:
+            assert len(paths) < len(evaluated)
         for theta, value in evaluated:
-            assert value == self.plain(par, theta, data)
+            assert value == plain_objective(par, theta, fd_data)
 
     def test_fits_do_not_share_states(self):
         t = random_benchmark_system()
@@ -294,7 +323,71 @@ class TestStateMemo:
             assert np.array_equal(fit.theta, fresh.theta)
         theta = fit.theta
         for traj in trajs:
-            assert objective(par, theta, traj) == self.plain(par, theta, traj)
+            assert (objective(par, theta, traj)
+                    == plain_objective(par, theta, traj))
+
+
+class TestObjectiveBatch:
+    """objective_batch equals objective row by row, and identify counts
+    every value it computes."""
+
+    def test_evaluations_count_every_value(self, fd_data, monkeypatch):
+        par = table_par("pred_partial")
+        evaluated = []
+        record_evaluations(monkeypatch, evaluated)
+        fit = identify(par, fd_data,
+                       opt=OptimizerConfig(restarts=1, maxiter=5))
+        monkeypatch.undo()
+        assert fit.evaluations == len(evaluated)
+
+    @staticmethod
+    def thetas(par):
+        """Rows that run the stacked path: an ordinary theta, one with the
+        stability barrier active, and one forward-difference probe per
+        coordinate (C11 and C12 probes leave Atil and Ktil unchanged), plus
+        a repeated row; and rows that fail a check: an inf entry, and
+        products that overflow into a non-finite predictor."""
+        base = par.encode(par.template)
+        theta = base + 0.05 * np.random.default_rng(12).standard_normal(
+            par.theta_dim)
+        probes = theta + np.diag(np.sqrt(np.finfo(float).eps)
+                                 * np.maximum(1.0, np.abs(theta)))
+        good = np.vstack([theta, base + 5.0, *probes, theta])
+        inf = theta.copy()
+        inf[0] = np.inf
+        return good, np.vstack([good, inf, base + 1e307])
+
+    @pytest.mark.parametrize("case", CASES + ("single_entry",))
+    def test_batch_equals_objective(self, fd_data, case, monkeypatch):
+        # single_entry frees A11[0, 0], which the barrier can act on
+        par = (SingleEntryParameterization(random_benchmark_system(),
+                                           block="A11", index=(0, 0))
+               if case == "single_entry" else table_par(case))
+        good, every = self.thetas(par)
+        for rows in (good, every):
+            values = ffest.sysid.objective_batch(par, rows, fd_data)
+            assert values == [objective(par, theta, fd_data) for theta in rows]
+        if case in ("pred_full", "gen_full"):
+            return
+        assert par.estimator_for(good[1])[1] > 0.0
+        assert objective(par, every[-2], fd_data) == np.inf
+        if case != "single_entry":
+            with pytest.raises(ValidationError, match="non-finite"):
+                par.estimator_for(every[-1])
+        keys = {(e.Atil.tobytes(), e.Ktil.tobytes())
+                for e, _ in map(par.estimator_for, good)}
+        paths = count_state_paths(monkeypatch)
+        ffest.sysid.objective_batch(par, good, fd_data)
+        assert len(paths) == len(keys) < len(good)
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_wrong_length_raises(self, fd_data, rows):
+        par = table_par("pred_partial")
+        with pytest.raises(ValueError, match="theta has shape"):
+            ffest.sysid.objective_batch(
+                par, np.zeros((rows, par.theta_dim + 1)), fd_data)
+        with pytest.raises(ValueError, match="theta has shape"):
+            objective(par, np.zeros(par.theta_dim - 1), fd_data)
 
 
 def gradient_points():
