@@ -145,20 +145,29 @@ def _filter_states(e: EstimatorModel, w, x0=None):
     return yhat, X
 
 
-def _filter_stack(Atil, Ktil, Ctil, D0, w, x0=None):
+def _path_key(Atil, Ktil):
+    """The key of the state path of one predictor: the bytes of its
+    (Atil, Ktil)."""
+    return Atil.tobytes(), Ktil.tobytes()
+
+
+def _filter_stack(Atil, Ktil, Ctil, D0, w, x0=None, known=None):
     """:func:`_filter_states` of each predictor whose matrices are stacked
     along the first axis; yields ``(index, yhat, X)`` one predictor at a
     time. Predictors whose (Atil, Ktil) are equal bit for bit share one
-    state path."""
+    state path. ``known`` maps :func:`_path_key` keys to paths already run
+    on the same ``w`` and ``x0``; predictors with such a key reuse them."""
+    known = {} if known is None else known
     paths = {}
     for i in range(len(Atil)):
-        paths.setdefault((Atil[i].tobytes(), Ktil[i].tobytes()), []).append(i)
-    first = [items[0] for items in paths.values()]
+        paths.setdefault(_path_key(Atil[i], Ktil[i]), []).append(i)
+    first = [items[0] for key, items in paths.items() if key not in known]
     if Atil.shape[-1]:
         states = _state_paths(Atil[first], Ktil[first], w, x0)
     else:
         states = (np.zeros((w.shape[0], 0)) for _ in first)
-    for X, items in zip(states, paths.values()):
+    for key, items in paths.items():
+        X = known[key] if key in known else next(states)
         for i in items:
             yhat = w @ D0[i].T
             if X.shape[1]:

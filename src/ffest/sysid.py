@@ -27,10 +27,10 @@ adjoint (reverse-time) pass of the filter, chained back through the
 barrier, the synthesis block map and gen_full's projection onto triangular
 form (:func:`objective_and_gradient`); the other cases use scipy's
 finite-difference gradients (see :data:`ADJOINT_CASES`), whose probes
-are evaluated as one batch (:func:`objective_batch`): stacked synthesis,
+are evaluated as one batch (:func:`_objective_batch`): stacked synthesis,
 barrier and eigendecompositions, and one filter state path per distinct
-pair of filter matrices (Atil, Ktil), with values bit-identical to
-:func:`objective`'s. Entries that the search cannot see, because they
+pair of filter matrices (Atil, Ktil), shared also with the point the
+gradient is taken at, with values bit-identical to :func:`objective`'s. Entries that the search cannot see, because they
 multiply the D0 = 0 of a generator case, are held at their template
 values.
 """
@@ -47,7 +47,8 @@ from scipy.optimize import minimize
 from .errors import (FfestError, IdentificationError, SamplingError,
                      ValidationError)
 from .estimator import (_estimator_blocks, _filter_stack, _filter_states,
-                        _state_path, compute_d0, filter_signal, synthesize)
+                        _path_key, _state_path, compute_d0, filter_signal,
+                        synthesize)
 from .matkernel import spectral_radius
 from .metrics import mse, vaf_components
 from .models import (
@@ -73,7 +74,6 @@ __all__ = [
     "known_blocks",
     "FitResult",
     "objective",
-    "objective_batch",
     "objective_and_gradient",
     "identify",
     "random_benchmark_system",
@@ -126,11 +126,24 @@ def _barrier(rho):
     return _STAB_LIMIT / rho, _STAB_PENALTY * (rho - _STAB_LIMIT)
 
 
+def _stabilize(Atil):
+    """:func:`_barrier` applied to a stack of filter matrices, as ``(Atil',
+    penalties)``: Atil' is a copy in which each matrix past the stability
+    limit is scaled inside it."""
+    Atil = Atil.copy()
+    penalties = []
+    for i, rho in enumerate(spectral_radius(Atil)):
+        scale, penalty = _barrier(rho)
+        if scale is not None:
+            Atil[i] *= scale
+        penalties.append(penalty)
+    return Atil, penalties
+
+
 def _stable(est: EstimatorModel):
-    """Scale Atil inside the stability limit; returns (est', penalty)."""
-    scale, penalty = _barrier(spectral_radius(est.Atil))
-    return (est if scale is None else replace(est, Atil=est.Atil * scale),
-            penalty)
+    """:func:`_stabilize` of one predictor; returns (est', penalty)."""
+    Atil, (penalty,) = _stabilize(est.Atil[None])
+    return est if not penalty else replace(est, Atil=Atil[0]), penalty
 
 
 def _innovations(A, K, C, z):
@@ -249,8 +262,7 @@ class Parameterization:
                     for name in _matrix_names(EstimatorModel)]
         b = self._blocks(thetas)
         if isinstance(self.template, EstimatorModel):
-            # a copy: objective_batch scales Atil in place
-            return b.Atil.copy(), b.Ktil, b.Ctil, b.D0
+            return b.Atil, b.Ktil, b.Ctil, b.D0
         D0 = self._d0(b)
         return (*_estimator_blocks(b, D0), D0)
 
@@ -373,12 +385,14 @@ def objective(par: Parameterization, theta, data: Trajectory):
 
     Unstable iterates are evaluated at the projected-stable model plus a
     penalty proportional to the spectral-radius excess; undecodable
-    parameter vectors yield +inf. This is :func:`objective_batch` of one.
+    parameter vectors yield +inf. This is :func:`_objective_batch` of one.
     """
-    return objective_batch(par, np.asarray(theta, dtype=float)[None], data)[0]
+    return _objective_batch(par, np.asarray(theta, dtype=float)[None],
+                            data)[0]
 
 
-def objective_batch(par: Parameterization, thetas, data: Trajectory):
+def _objective_batch(par: Parameterization, thetas, data: Trajectory,
+                     kept=None):
     """:func:`objective` at each row of ``thetas``, as a list of floats.
 
     The rows are decoded, synthesized, stabilized and eigendecomposed as
@@ -386,8 +400,12 @@ def objective_batch(par: Parameterization, thetas, data: Trajectory):
     filtered along one state path, one predictor at a time. The values are
     those of :func:`objective` bit for bit: every stacked step gives each
     row the bits it gets alone, and when any row fails a check, each row is
-    evaluated alone. :func:`identify` passes this to L-BFGS-B as its
-    ``workers`` map, so that a finite-difference gradient is one batch.
+    evaluated alone. ``kept``, a dict, holds the state path on ``data`` of
+    the first row of the previous call that passed it; rows with the same
+    (Atil, Ktil) reuse it, and this call leaves its own first row's path
+    in its place. :func:`identify` keeps one per fit and passes this to
+    L-BFGS-B as its ``workers`` map, so that a finite-difference gradient
+    is one batch that shares the path of the point it is taken at.
     """
     thetas = np.asarray(thetas, dtype=float)
     try:
@@ -395,22 +413,23 @@ def objective_batch(par: Parameterization, thetas, data: Trajectory):
         for name, a in zip(_matrix_names(EstimatorModel),
                            (Atil, Ktil, Ctil, D0)):
             _check_finite(name, a)
-        penalty = []
-        for i, rho in enumerate(spectral_radius(Atil)):
-            scale, pen = _barrier(rho)
-            if scale is not None:
-                Atil[i] = Atil[i] * scale
-            penalty.append(pen)
+        Atil, penalty = _stabilize(Atil)
         _check_finite("Atil", Atil)
     except (FfestError, np.linalg.LinAlgError):
         if len(thetas) == 1:
             return [np.inf]
         return [objective(par, theta, data) for theta in thetas]
     values = [np.inf] * len(thetas)
-    for i, yhat, _ in _filter_stack(Atil, Ktil, Ctil, D0, data.w):
+    for i, yhat, X in _filter_stack(Atil, Ktil, Ctil, D0, data.w,
+                                    known=kept):
         value = mse(data.y, yhat) + penalty[i]
         if np.isfinite(value):
             values[i] = float(value)
+        if i == 0:
+            first = X
+    if kept is not None:
+        kept.clear()
+        kept[_path_key(Atil[0], Ktil[0])] = first
     return values
 
 
@@ -542,11 +561,17 @@ def identify(par: Parameterization, data: Trajectory,
     if par.case in ADJOINT_CASES:
         fun, jac = (lambda th: objective_and_gradient(par, th, data)), True
     else:
-        fun, jac = (lambda th: objective(par, th, data)), None
-        # scipy maps its own wrapper of fun over the probes of each
-        # finite-difference gradient; evaluate them as one batch instead
+        # scipy evaluates each point, then maps its own wrapper of fun over
+        # the probes of the point's finite-difference gradient; evaluate
+        # them as one batch instead, starting from the point's state path
+        kept = {}
+        jac = None
+
+        def fun(theta):
+            return _objective_batch(par, [theta], data, kept)[0]
+
         options["workers"] = (
-            lambda _, probes: objective_batch(par, list(probes), data))
+            lambda _, probes: _objective_batch(par, list(probes), data, kept))
 
     best = None
     total_iters = 0

@@ -254,16 +254,16 @@ def plain_objective(par, theta, data):
 
 
 def record_evaluations(monkeypatch, evaluated):
-    """Append every (theta, value) that objective and objective_batch
+    """Append every (theta, value) that objective and _objective_batch
     compute to ``evaluated``; a call made inside another is the same
     evaluation and is not recorded again."""
     depth = [0]
 
     def wrap(fn, batch):
-        def recording(par, thetas, data):
+        def recording(par, thetas, data, *kept):
             depth[0] += 1
             try:
-                values = fn(par, thetas, data)
+                values = fn(par, thetas, data, *kept)
             finally:
                 depth[0] -= 1
             if not depth[0]:
@@ -275,8 +275,8 @@ def record_evaluations(monkeypatch, evaluated):
 
     monkeypatch.setattr(ffest.sysid, "objective",
                         wrap(ffest.sysid.objective, False))
-    monkeypatch.setattr(ffest.sysid, "objective_batch",
-                        wrap(ffest.sysid.objective_batch, True))
+    monkeypatch.setattr(ffest.sysid, "_objective_batch",
+                        wrap(ffest.sysid._objective_batch, True))
 
 
 def count_state_paths(monkeypatch):
@@ -293,7 +293,8 @@ def count_state_paths(monkeypatch):
 class TestStateMemo:
     """identify's finite-difference probes share filter states: each
     gradient is one batch, with one state path per distinct (Atil, Ktil)
-    bit pattern."""
+    bit pattern, and probes reuse the path of the point the gradient is
+    taken at."""
 
     @pytest.mark.parametrize("case",
                              ["pred_partial", "gen_partial", "single_entry"])
@@ -304,14 +305,13 @@ class TestStateMemo:
         record_evaluations(monkeypatch, evaluated)
         identify(par, fd_data, opt=OptimizerConfig(restarts=0, maxiter=5))
         monkeypatch.undo()
-        # probes of one gradient shared states (the count includes the
-        # post-fit); single_entry's gradient has one probe, nothing to share
-        if par.theta_dim > 1:
-            assert len(paths) < len(evaluated)
+        # probes shared states with each other and with the point of their
+        # gradient (the count includes the post-fit)
+        assert len(paths) < len(evaluated)
         for theta, value in evaluated:
             assert value == plain_objective(par, theta, fd_data)
 
-    def test_fits_do_not_share_states(self):
+    def test_fits_do_not_share_states(self, monkeypatch):
         t = random_benchmark_system()
         trajs = [simulate(assemble(t), SimConfig(N=150, seed=seed))
                  for seed in (7, 8)]
@@ -325,10 +325,20 @@ class TestStateMemo:
         for traj in trajs:
             assert (objective(par, theta, traj)
                     == plain_objective(par, theta, traj))
+        # every theta of the C11 entry has the same (Atil, Ktil), so a path
+        # kept from the fit on the other data would be reused here
+        par = table_par("single_entry")
+        for traj in trajs:
+            evaluated = []
+            record_evaluations(monkeypatch, evaluated)
+            identify(par, traj, opt=opt)
+            monkeypatch.undo()
+            for theta, value in evaluated:
+                assert value == plain_objective(par, theta, traj)
 
 
 class TestObjectiveBatch:
-    """objective_batch equals objective row by row, and identify counts
+    """_objective_batch equals objective row by row, and identify counts
     every value it computes."""
 
     def test_evaluations_count_every_value(self, fd_data, monkeypatch):
@@ -365,7 +375,7 @@ class TestObjectiveBatch:
                if case == "single_entry" else table_par(case))
         good, every = self.thetas(par)
         for rows in (good, every):
-            values = ffest.sysid.objective_batch(par, rows, fd_data)
+            values = ffest.sysid._objective_batch(par, rows, fd_data)
             assert values == [objective(par, theta, fd_data) for theta in rows]
         if case in ("pred_full", "gen_full"):
             return
@@ -377,14 +387,14 @@ class TestObjectiveBatch:
         keys = {(e.Atil.tobytes(), e.Ktil.tobytes())
                 for e, _ in map(par.estimator_for, good)}
         paths = count_state_paths(monkeypatch)
-        ffest.sysid.objective_batch(par, good, fd_data)
+        ffest.sysid._objective_batch(par, good, fd_data)
         assert len(paths) == len(keys) < len(good)
 
     @pytest.mark.parametrize("rows", [1, 3])
     def test_wrong_length_raises(self, fd_data, rows):
         par = table_par("pred_partial")
         with pytest.raises(ValueError, match="theta has shape"):
-            ffest.sysid.objective_batch(
+            ffest.sysid._objective_batch(
                 par, np.zeros((rows, par.theta_dim + 1)), fd_data)
         with pytest.raises(ValueError, match="theta has shape"):
             objective(par, np.zeros(par.theta_dim - 1), fd_data)
