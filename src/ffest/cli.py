@@ -42,6 +42,7 @@ from .realization import (
 )
 from .simulation import (
     SimConfig,
+    _write_csv,
     load_trajectory,
     save_trajectory,
     simulate,
@@ -130,9 +131,8 @@ def cmd_filter(args):
     est = _load(args.estimator, EstimatorModel)
     traj = load_trajectory(args.trajectory)
     yhat = filter_signal(est, traj.w)
-    np.savetxt(args.output, yhat, fmt="%.17g", delimiter=",",
-               header=",".join(f"yhat{i+1}" for i in range(est.p)),
-               comments="")
+    _write_csv(args.output, ",".join(f"yhat{i+1}" for i in range(est.p)),
+               yhat, ",".join(["%.17g"] * est.p))
     err = mse(traj.y, yhat)
     vaf = vaf_components(traj.y, yhat)
     print(f"MSE = {err:.6f}")

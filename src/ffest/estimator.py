@@ -115,13 +115,16 @@ def _modal_run(lam, W, WB, u, x0=None):
 
 
 def _state_loop(A, B, u, x0=None):
-    """States x(0..N-1) of x+ = A x + B u(t) by the plain time loop."""
+    """States x(0..N-1) of x+ = A x + B u(t) by the plain time loop; the
+    input terms B u(t) are formed up front as row-wise matvecs, which give
+    each row the bits of ``B @ u[t]``."""
     N, n = u.shape[0], A.shape[0]
     x = np.zeros((N, n))
+    Bu = (B @ u[..., None])[..., 0]
     v = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).reshape(n)
     for t in range(N):
         x[t] = v
-        v = A @ v + B @ u[t]
+        v = A @ v + Bu[t]
     return x
 
 

@@ -48,6 +48,18 @@ class SimConfig:
     def __post_init__(self):
         if self.N < 1:
             raise ValidationError(f"N must be >= 1, got {self.N}")
+        if isinstance(self.init, str):
+            if self.init not in ("stationary", "zero"):
+                raise ValidationError(
+                    f"init must be 'stationary', 'zero' or a state vector, "
+                    f"got {self.init!r}")
+            return
+        try:
+            x0 = np.asarray(self.init, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"init is not a state vector: {exc}") from exc
+        if not np.all(np.isfinite(x0)):
+            raise ValidationError("init has non-finite entries")
 
 
 def trajectory_rng(seed, index=None):
@@ -111,6 +123,9 @@ def simulate(model, cfg: SimConfig, rng=None) -> Trajectory:
         x0 = _noise_factor(P) @ rng.standard_normal(n)
     elif isinstance(x0, str) and x0 == "zero":
         x0 = None
+    elif np.size(x0) != n:
+        raise ValidationError(
+            f"init has {np.size(x0)} entries, the model has {n} states")
     X = _state_loop(A, G, e, x0)
     # row-wise matvecs, as C @ x(t) was; X @ C.T would change the last bits
     Z = (C @ X[..., None] + D @ e[..., None])[..., 0]
@@ -135,15 +150,50 @@ class DiagnosticsReport:
         return self.whiteness_ok and self.state_orthogonality_ok
 
 
-def _max_crosscorr(a, b):
-    """Largest |correlation coefficient| between columns of a and b."""
-    a = a - a.mean(axis=0)
-    b = b - b.mean(axis=0)
-    sa = a.std(axis=0)
-    sb = b.std(axis=0)
-    sa[sa == 0] = 1.0
-    sb[sb == 0] = 1.0
-    corr = (a.T @ b) / (a.shape[0] * np.outer(sa, sb))
+def _end_run(c):
+    """Per column of ``c``, the length of the run of equal values that
+    ends it."""
+    differs = (c != c[-1])[::-1]
+    return np.where(differs.any(axis=0), differs.argmax(axis=0), len(c))
+
+
+class _Columns:
+    """The columns of an N x m sample, centred once on their full-sample
+    means, with what the moments of any leading or trailing slice are
+    formed from: the column totals of the values and of their squares, and
+    the lengths of the runs of equal values that start and end each
+    column."""
+
+    def __init__(self, v):
+        self.c = c = v - v.mean(axis=0)
+        self.total = c.sum(axis=0), (c * c).sum(axis=0)
+        self.head, self.tail = _end_run(c[::-1]), _end_run(c)
+
+    def moments(self, lo, hi):
+        """Mean and population std of each column of ``c[lo:hi]``, a slice
+        that starts or ends the sample, from the totals minus the rows it
+        drops; a zero std counts as 1."""
+        c, n = self.c, hi - lo
+        out = np.concatenate([c[:lo], c[hi:]])
+        mean = (self.total[0] - out.sum(axis=0)) / n
+        var = (self.total[1] - (out * out).sum(axis=0)) / n - mean * mean
+        std = np.sqrt(np.maximum(var, 0.0))
+        std[(std == 0) | (n <= (self.tail if lo else self.head))] = 1.0
+        return mean, std
+
+
+def _lag_crosscorr(a, b, k):
+    """Largest |Pearson correlation| between the columns of ``a.c[k:]`` and
+    ``b.c[:N-k]`` (two :class:`_Columns`), with population stds."""
+    n = len(a.c) - k
+    if 2 * n <= len(a.c):
+        # slices shorter than what they drop (N <= 40): the totals would
+        # cancel, so each slice is centred on its own mean instead
+        a, b, k = _Columns(a.c[k:]), _Columns(b.c[:n]), 0
+    ma, sa = a.moments(k, k + n)
+    mb, sb = b.moments(0, n)
+    cross = a.c[k:].T @ b.c[:n] - n * np.outer(ma, mb)
+    corr = cross / (n * np.outer(sa, sb))
     return float(np.max(np.abs(corr))) if corr.size else 0.0
 
 
@@ -161,12 +211,13 @@ def innovation_diagnostics(m: InnovationJointModel,
     N = traj.N
     band = 3.0 / np.sqrt(N)
 
+    ec, xc = _Columns(e), _Columns(x)
     e_auto = np.zeros(_MAX_LAG)
     for k in range(1, _MAX_LAG + 1):
-        e_auto[k - 1] = _max_crosscorr(e[k:], e[:-k]) if k < N else 0.0
+        e_auto[k - 1] = _lag_crosscorr(ec, ec, k) if k < N else 0.0
     ex = np.zeros(_STATE_MAX_LAG + 1)
     for k in range(_STATE_MAX_LAG + 1):
-        ex[k] = _max_crosscorr(e[k:], x[: N - k]) if k < N else 0.0
+        ex[k] = _lag_crosscorr(ec, xc, k) if k < N else 0.0
 
     es_resid = None
     notes = []
@@ -214,9 +265,24 @@ def save_trajectory(traj: Trajectory, path):
                                  for b in blocks))
     data = np.column_stack([np.arange(traj.N),
                             *(b for b in blocks if b is not None)])
-    np.savetxt(path, data, delimiter=",",
-               fmt=["%d"] + ["%.17g"] * (len(cols) - 1),
-               header=",".join(cols), comments="")
+    _write_csv(path, ",".join(cols), data,
+               ",".join(["%d"] + ["%.17g"] * (len(cols) - 1)))
+
+
+_CSV_CHUNK_ROWS = 256
+
+
+def _write_csv(path, header, data, fmt):
+    """Write a header line and one ``fmt % row`` line per row of ``data``:
+    the bytes of ``np.savetxt(path, data, fmt=<fmt split at ",">,
+    delimiter=",", header=header, comments="")``. Rows are formatted from
+    ``tolist()`` in chunks of ``_CSV_CHUNK_ROWS``, not as numpy scalars."""
+    line = fmt + "\n"
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for i in range(0, len(data), _CSV_CHUNK_ROWS):
+            fh.write("".join(line % tuple(row) for row in
+                             data[i:i + _CSV_CHUNK_ROWS].tolist()))
 
 
 def load_trajectory(path) -> Trajectory:
