@@ -197,21 +197,6 @@ def _lag_crosscorr(a, b, k):
     return float(np.max(np.abs(corr))) if corr.size else 0.0
 
 
-def _lag_correlations(e, x):
-    """Largest |correlation| of e(t) with e(t-k), k = 1.._MAX_LAG, and with
-    x(t-k), k = 0.._STATE_MAX_LAG; 0 where k >= N. The centred copies are
-    freed on return, before the identity check's own arrays exist."""
-    N = len(e)
-    ec, xc = _Columns(e), _Columns(x)
-    e_auto = np.zeros(_MAX_LAG)
-    for k in range(1, _MAX_LAG + 1):
-        e_auto[k - 1] = _lag_crosscorr(ec, ec, k) if k < N else 0.0
-    ex = np.zeros(_STATE_MAX_LAG + 1)
-    for k in range(_STATE_MAX_LAG + 1):
-        ex[k] = _lag_crosscorr(ec, xc, k) if k < N else 0.0
-    return e_auto, ex
-
-
 def innovation_diagnostics(m: InnovationJointModel,
                            traj: Trajectory) -> DiagnosticsReport:
     """Empirical whiteness of the innovations and orthogonality to the state.
@@ -226,7 +211,14 @@ def innovation_diagnostics(m: InnovationJointModel,
     N = traj.N
     band = 3.0 / np.sqrt(N)
 
-    e_auto, ex = _lag_correlations(e, x)
+    ec, xc = _Columns(e), _Columns(x)
+    e_auto = np.zeros(_MAX_LAG)
+    for k in range(1, _MAX_LAG + 1):
+        e_auto[k - 1] = _lag_crosscorr(ec, ec, k) if k < N else 0.0
+    ex = np.zeros(_STATE_MAX_LAG + 1)
+    for k in range(_STATE_MAX_LAG + 1):
+        ex[k] = _lag_crosscorr(ec, xc, k) if k < N else 0.0
+    del ec, xc  # freed before the identity check's arrays exist
 
     es_resid = None
     notes = []

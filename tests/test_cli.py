@@ -12,7 +12,9 @@ from ffest import (
     InnovationJointModel,
     SimConfig,
     StateSpaceModel,
+    Trajectory,
     assemble,
+    filter_signal,
     load_model,
     load_trajectory,
     markov_parameters,
@@ -24,6 +26,7 @@ from ffest import (
     triangularize,
 )
 from ffest.cli import _EXAMPLE_SYSTEM, _build_parser, main
+from ffest.simulation import _CSV_CHUNK_ROWS
 
 
 @pytest.fixture()
@@ -162,6 +165,30 @@ class TestSimulateAndFilter:
         assert len(lines) == 501
         out = capsys.readouterr().out
         assert "MSE" in out and "VAF" in out
+
+    @pytest.mark.parametrize("rows", [1, _CSV_CHUNK_ROWS - 1,
+                                      _CSV_CHUNK_ROWS, _CSV_CHUNK_ROWS + 1])
+    def test_prediction_bytes_are_savetxt_bytes(self, tmp_path, rows):
+        # yhat = w exactly (no state feeds the output), so the special
+        # values reach the prediction file; 1e300 stays out, as its square
+        # overflows in the printed MSE and VAF (the trajectory writer's
+        # test covers it)
+        est = EstimatorModel(Atil=[[0.5]], Ktil=[[0.0]], Ctil=[[0.0]],
+                             D0=[[1.0]])
+        save_model(est, tmp_path / "est.json")
+        w = np.random.default_rng(rows).standard_normal((rows, 1))
+        special = [0.0, -0.0, 5e-324, 2.0 ** 53, -1.5][:rows]
+        w[:len(special), 0] = special
+        save_trajectory(Trajectory(y=w, w=w), tmp_path / "traj.csv")
+        pred = tmp_path / "pred.csv"
+        # one sample has no variance: VAF fails (exit 3) after the write
+        code = main(["filter", str(tmp_path / "est.json"),
+                     str(tmp_path / "traj.csv"), str(pred)])
+        assert code == (3 if rows == 1 else 0)
+        yhat = filter_signal(est, load_trajectory(tmp_path / "traj.csv").w)
+        np.savetxt(tmp_path / "ref.csv", yhat, fmt="%.17g", delimiter=",",
+                   header="yhat1", comments="")
+        assert pred.read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def test_simulate_deterministic(self, tmp_path, innovation_json):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

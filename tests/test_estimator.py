@@ -20,6 +20,7 @@ from ffest import (
 )
 from ffest.cli import _GOLDEN_ESTIMATOR, example_triangular_model
 from ffest.errors import FeedbackViolationError, IndefiniteCovarianceError
+from ffest.estimator import _state_loop
 
 from conftest import make_triangular
 
@@ -178,6 +179,27 @@ class TestFilterSignal:
         err = mse(traj.y, yhat)
         schur = 2.0 - 1.0
         assert 0.95 * schur <= err <= 1.05 * schur
+
+
+class TestStateLoop:
+    @pytest.mark.parametrize("given", [False, True], ids=["zero", "x0"])
+    @pytest.mark.parametrize("N", [0, 1, 1000])
+    @pytest.mark.parametrize("q", [1, 5])
+    @pytest.mark.parametrize("n", [1, 10])
+    def test_bit_identical_to_per_step_loop(self, n, q, N, given):
+        rng = np.random.default_rng(100 * n + 10 * q + N)
+        A = rng.standard_normal((n, n))
+        A *= 0.9 / spectral_radius(A)
+        B = rng.standard_normal((n, q))
+        u = rng.standard_normal((N, q))
+        x0 = rng.standard_normal(n) if given else None
+        # reference: the input term formed per step, next to the update
+        v = np.zeros(n) if x0 is None else x0.copy()
+        ref = np.zeros((N, n))
+        for t in range(N):
+            ref[t] = v
+            v = A @ v + B @ u[t]
+        assert np.array_equal(_state_loop(A, B, u, x0), ref)
 
 
 class TestJointOneStepPrediction:

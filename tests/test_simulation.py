@@ -20,7 +20,7 @@ from ffest import (
 )
 from ffest.cli import _GOLDEN_CHAIN
 from ffest.errors import ValidationError
-from ffest.simulation import _noise_factor
+from ffest.simulation import _CSV_CHUNK_ROWS, _noise_factor
 
 from conftest import make_triangular
 
@@ -29,6 +29,22 @@ class TestSimConfig:
     def test_rejects_empty(self):
         with pytest.raises(ValidationError):
             SimConfig(N=0)
+
+    @pytest.mark.parametrize("init", ["bogus", [[1.0, 2.0], [3.0]], None],
+                             ids=["unknown-mode", "ragged", "none"])
+    def test_rejects_what_is_no_state(self, init):
+        with pytest.raises(ValidationError, match="init"):
+            SimConfig(N=5, init=init)
+
+    def test_rejects_wrong_state_length(self):
+        m = assemble(random_benchmark_system())
+        with pytest.raises(ValidationError, match="2 entries.*10 states"):
+            simulate(m, SimConfig(N=5, init=[1.0, 2.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_state(self, example_innovation, bad):
+        with pytest.raises(ValidationError):
+            simulate(example_innovation, SimConfig(N=5, init=[1.0, bad]))
 
 
 class TestTrajectoryRng:
@@ -178,7 +194,96 @@ class TestSimulate:
         assert traj.e.shape == (100, 2)  # normalized input noise
 
 
+def two_pass_crosscorr(a, b):
+    """Reference: the largest |Pearson correlation| between the columns of
+    a and b, each centred and scaled on its own (population std, a zero std
+    counted as 1), with the masks of the zero stds."""
+    a = a - a.mean(axis=0)
+    b = b - b.mean(axis=0)
+    sa, sb = a.std(axis=0), b.std(axis=0)
+    zero = sa == 0, sb == 0
+    sa[zero[0]] = 1.0
+    sb[zero[1]] = 1.0
+    corr = (a.T @ b) / (a.shape[0] * np.outer(sa, sb))
+    return float(np.max(np.abs(corr))), zero
+
+
+def awkward_sample(N, seed):
+    """Random e (N x 4) and x (N x 5) with a zero column, constant columns
+    and columns offset by 1e3 and 1e6."""
+    rng = np.random.default_rng(seed)
+    e = rng.standard_normal((N, 4))
+    x = rng.standard_normal((N, 5))
+    e[:, 1] = 0.0
+    e[:, 2] += 1e3
+    e[:, 3] = 0.1
+    x[:, 0] = 2.5
+    x[:, 3] += 1e6
+    x[:, 4] += 1e3
+    return e, x
+
+
 class TestDiagnostics:
+    @pytest.mark.parametrize("N", [2, 15, 5000])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_correlations_match_two_pass_reference(self, example_innovation,
+                                                   N, seed):
+        e, x = awkward_sample(N, seed)
+        traj = Trajectory(y=np.zeros((N, 1)), w=np.zeros((N, 1)), x=x, e=e)
+        rep = innovation_diagnostics(example_innovation, traj)
+        ref_auto = [two_pass_crosscorr(e[k:], e[:-k])[0] if k < N else 0.0
+                    for k in range(1, 21)]
+        ref_ex = [two_pass_crosscorr(e[k:], x[:N - k])[0] if k < N else 0.0
+                  for k in range(11)]
+        got = np.concatenate([rep.e_autocorr, rep.e_state_corr])
+        ref = np.array(ref_auto + ref_ex)
+        assert np.all(np.isfinite(got))
+        if N >= 5000:
+            assert np.max(np.abs(got - ref)) <= 1e-12
+        else:
+            # slices of a few samples: a valid coefficient is what holds
+            assert np.all((got >= 0.0) & (got <= 1.0 + 1e-12))
+
+    @pytest.mark.parametrize("N", [2, 15, 5000])
+    def test_zero_std_counts_as_one(self, example_innovation, N):
+        # from lag 3 on, the zero column and the constant ends below have
+        # a zero std in every slice of the reference, and so has every
+        # one-sample slice; the rule then gives a correlation of 0, where
+        # the plain formula gives 0/0 or, from column totals, rounding over
+        # rounding
+        e, x = awkward_sample(N, 3)
+        # constant after its first and before its last three samples
+        e[:3, 3], x[-3:, 0] = [0.3, -0.2, 0.5][:N], [1.0, -1.0, 0.5][-N:]
+        for ea, xa, e_flat in (([1, 3], [0], True), ([0, 2], [0], False)):
+            for k in range(3, min(N, 21)):
+                za, zb = two_pass_crosscorr(e[k:, ea], x[:N - k, xa])[1]
+                assert za.all() if e_flat else zb.all()
+            traj = Trajectory(y=np.zeros((N, 1)), w=np.zeros((N, 1)),
+                              x=x[:, xa], e=e[:, ea])
+            rep = innovation_diagnostics(example_innovation, traj)
+            assert np.max(rep.e_state_corr[3:], initial=0.0) <= 1e-12
+            if e_flat:
+                assert np.max(rep.e_autocorr[2:], initial=0.0) <= 1e-12
+        traj = Trajectory(y=np.zeros((N, 1)), w=np.zeros((N, 1)), x=x, e=e)
+        rep = innovation_diagnostics(example_innovation, traj)
+        if N <= 21:  # lag N - 1 leaves one sample
+            assert rep.e_autocorr[N - 2] == 0.0
+        if N <= 11:
+            assert rep.e_state_corr[N - 1] == 0.0
+
+    def test_two_samples_far_from_the_mean_correlate_fully(
+            self, example_innovation):
+        # any two non-constant two-sample slices correlate fully; here one
+        # pair of samples is close and far from the column mean, where
+        # moments from column totals would cancel
+        N = 15
+        e, x = awkward_sample(N, 4)
+        e = e[:, :1]
+        e[-2:, 0] = [5.0, 5.0 + 1e-6]
+        traj = Trajectory(y=np.zeros((N, 1)), w=np.zeros((N, 1)), x=x, e=e)
+        rep = innovation_diagnostics(example_innovation, traj)
+        assert abs(rep.e_autocorr[N - 3] - 1.0) <= 1e-12
+
     def test_simulated_example_passes(self, example_innovation):
         traj = simulate(example_innovation, SimConfig(N=100_000, seed=8))
         rep = innovation_diagnostics(example_innovation, traj)
@@ -250,7 +355,35 @@ class TestDiagnostics:
             innovation_diagnostics(example_innovation, empty)
 
 
+SPECIAL_VALUES = [0.0, -0.0, 5e-324, 1e300, 2.0 ** 53, -1.5]
+
+
+def special_columns(rows, width, seed):
+    """rows x width floats: the special values, then random ones."""
+    v = np.random.default_rng(seed).standard_normal(rows * width)
+    k = min(len(v), len(SPECIAL_VALUES))
+    v[:k] = SPECIAL_VALUES[:k]
+    return v.reshape(rows, width)
+
+
 class TestTrajectoryCsv:
+    @pytest.mark.parametrize("full", [True, False], ids=["x-e", "y-w-only"])
+    @pytest.mark.parametrize("rows", [0, 1, _CSV_CHUNK_ROWS - 1,
+                                      _CSV_CHUNK_ROWS, _CSV_CHUNK_ROWS + 1])
+    def test_bytes_are_savetxt_bytes(self, tmp_path, rows, full):
+        y, w = special_columns(rows, 1, 1), special_columns(rows, 2, 2)
+        x, e = ((special_columns(rows, 3, 3), special_columns(rows, 2, 4))
+                if full else (None, None))
+        save_trajectory(Trajectory(y=y, w=w, x=x, e=e), tmp_path / "got.csv")
+        header = "t,y1,w1,w2" + (",x1,x2,x3,e1,e2" if full else "")
+        data = np.column_stack([np.arange(rows), y, w]
+                               + ([x, e] if full else []))
+        np.savetxt(tmp_path / "ref.csv", data, delimiter=",",
+                   fmt=["%d"] + ["%.17g"] * (data.shape[1] - 1),
+                   header=header, comments="")
+        got = (tmp_path / "got.csv").read_bytes()
+        assert got == (tmp_path / "ref.csv").read_bytes()
+
     def test_round_trip(self, example_innovation, tmp_path):
         traj = simulate(example_innovation, SimConfig(N=50, seed=3))
         path = tmp_path / "traj.csv"
