@@ -57,7 +57,8 @@ class SimConfig:
         try:
             x0 = np.asarray(self.init, dtype=float)
         except (TypeError, ValueError) as exc:
-            raise ValidationError(f"init is not a state vector: {exc}") from exc
+            raise ValidationError(
+                f"init is not a state vector: {exc}") from exc
         if not np.all(np.isfinite(x0)):
             raise ValidationError("init has non-finite entries")
 
@@ -172,7 +173,8 @@ class _Columns:
     def moments(self, lo, hi):
         """Mean and population std of each column of ``c[lo:hi]``, a slice
         that starts or ends the sample, from the totals minus the rows it
-        drops; a zero std counts as 1."""
+        drops. A zero std counts as 1, and so does the std of a slice whose
+        values are all equal, which the totals may leave at rounding size."""
         c, n = self.c, hi - lo
         out = np.concatenate([c[:lo], c[hi:]])
         mean = (self.total[0] - out.sum(axis=0)) / n
