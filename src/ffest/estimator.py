@@ -25,6 +25,20 @@ __all__ = [
 ]
 
 
+def _lfilter(b, a, x, axis):
+    """``lfilter`` with the signature of scipy's C linear filter; stands in
+    for it when scipy no longer has it where it is imported from."""
+    return lfilter(b, a, x, axis)
+
+
+try:
+    # the C routine lfilter ends in for a two-coefficient a; called directly
+    # it skips lfilter's per-call argument handling, with the same bits
+    from scipy.signal._sigtools import _linear_filter
+except ImportError:
+    _linear_filter = _lfilter
+
+
 def compute_d0(Q12, Q22):
     """Static gain mapping the input innovation to the direct correction;
     leading axes of Q12 and Q22 stack."""
@@ -81,9 +95,10 @@ def _state_paths(A, B, u, x0=None):
     of each A[j], its condition number, and the modal input map. numpy's
     stacked LAPACK calls give each matrix the bits it gets alone. The run
     half is per path: per-mode first-order recursions in the eigenbasis
-    (C-speed via ``lfilter``) on the one-step-shifted modal input, whose
-    first sample is the modal initial state. A path falls back to the
-    plain time loop when its A is too far from diagonalizable.
+    (scipy's C linear filter, called directly) on the one-step-shifted
+    modal input, whose first sample is the modal initial state. A path
+    falls back to the plain time loop when its A is too far from
+    diagonalizable.
     """
     try:
         lam, W = np.linalg.eig(A)
@@ -103,14 +118,18 @@ def _state_paths(A, B, u, x0=None):
 
 def _modal_run(lam, W, WB, u, x0=None):
     """The run half of :func:`_state_paths` for one path: eigenvalues
-    ``lam``, eigenvectors ``W`` and modal input map ``WB`` = W^-1 B."""
+    ``lam``, eigenvectors ``W`` and modal input map ``WB`` = W^-1 B. Each
+    mode is ``lfilter([1], [1, -lam[i]], s[:, i])`` bit for bit: the same
+    coefficients and column go to the C filter that call ends in."""
     N, n = u.shape[0], lam.shape[0]
     s = np.zeros((N, n), dtype=complex)
     s[1:] = (u @ WB.T)[:-1]
     if x0 is not None and N:
         s[0] = np.linalg.solve(W, np.asarray(x0, dtype=complex).reshape(n))
+    b, a = np.ones(1, dtype=complex), np.ones(2, dtype=complex)
     for i in range(n):
-        s[:, i] = lfilter([1.0], [1.0, -lam[i]], s[:, i])
+        a[1] = -lam[i]
+        s[:, i] = _linear_filter(b, a, s[:, i], -1)
     return (s @ W.T).real
 
 

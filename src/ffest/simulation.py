@@ -291,27 +291,33 @@ def _write_csv(path, header, data, fmt):
 
 
 def load_trajectory(path) -> Trajectory:
+    """Read a trajectory written by :func:`save_trajectory`. The file is
+    plain text whatever the suffix of ``path``; header and body are read
+    through one handle, so no suffix selects a decompressor."""
     with open(path) as fh:
-        header = fh.readline().strip().split(",")
-    if not header or header[0] != "t":
-        raise ModelFormatError(f"{path}: first column must be 't'")
+        try:
+            header = fh.readline().strip().split(",")
+        except UnicodeDecodeError as exc:
+            raise ModelFormatError(f"{path}: not a text CSV ({exc})") from exc
+        if not header or header[0] != "t":
+            raise ModelFormatError(f"{path}: first column must be 't'")
 
-    def count(prefix):
-        return sum(1 for c in header if c.startswith(prefix) and c[1:].isdigit())
+        def count(prefix):
+            return sum(1 for c in header
+                       if c.startswith(prefix) and c[1:].isdigit())
 
-    p, q = count("y"), count("w")
-    nx, ne = count("x"), count("e")
-    expected = _trajectory_columns(p, q, nx, ne)
-    if header != expected:
-        raise ModelFormatError(f"{path}: unexpected header {header}")
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", UserWarning)  # empty body
-            data = np.loadtxt(path, delimiter=",", skiprows=1,
-                              comments=None, ndmin=2)
-    except (ValueError, UserWarning) as exc:
-        raise ModelFormatError(f"{path}: non-numeric value, ragged rows or "
-                               f"no rows ({exc})") from exc
+        p, q = count("y"), count("w")
+        nx, ne = count("x"), count("e")
+        expected = _trajectory_columns(p, q, nx, ne)
+        if header != expected:
+            raise ModelFormatError(f"{path}: unexpected header {header}")
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", UserWarning)  # empty body
+                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        except (ValueError, UserWarning) as exc:  # incl. UnicodeDecodeError
+            raise ModelFormatError(f"{path}: non-numeric value, ragged rows "
+                                   f"or no rows ({exc})") from exc
     if data.shape[1] != len(expected):
         raise ModelFormatError(f"{path}: ragged rows")
     y, w, x, e = np.split(data[:, 1:], np.cumsum([p, q, nx]), axis=1)

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, artifacts, exit codes."""
 
+import gzip
 import inspect
 import json
 from dataclasses import replace
@@ -205,6 +206,21 @@ class TestSimulateAndFilter:
         bad.write_text("a,b\n1,2\n")
         assert main(["filter", str(est), str(bad),
                      str(tmp_path / "p.csv")]) == 2
+
+    def test_gzip_trajectory_exits_2(self, tmp_path, innovation_json,
+                                     capsys):
+        est, traj = tmp_path / "est.json", tmp_path / "traj.csv"
+        assert main(["synthesize", str(innovation_json), str(est),
+                     "--tol-fb", "1e-2", "--rank-tol", "1e-2"]) == 0
+        assert main(["simulate", str(innovation_json), str(traj),
+                     "--n", "20", "--seed", "3"]) == 0
+        gz = tmp_path / "traj.csv.gz"
+        gz.write_bytes(gzip.compress(traj.read_bytes()))
+        capsys.readouterr()
+        assert main(["filter", str(est), str(gz),
+                     str(tmp_path / "p.csv")]) == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "ModelFormatError"
 
     @pytest.mark.parametrize("body", ["0,1.5,2\n1,abc,3\n", "0,1.5,2\n1,2\n"],
                              ids=["non-numeric", "ragged"])

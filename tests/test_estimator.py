@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
 from ffest import (
     EstimatorModel,
@@ -19,8 +20,9 @@ from ffest import (
     triangularize,
 )
 from ffest.cli import _GOLDEN_ESTIMATOR, example_triangular_model
+import ffest.estimator
 from ffest.errors import FeedbackViolationError, IndefiniteCovarianceError
-from ffest.estimator import _state_loop
+from ffest.estimator import _modal_run, _state_loop
 
 from conftest import make_triangular
 
@@ -200,6 +202,69 @@ class TestStateLoop:
             ref[t] = v
             v = A @ v + B @ u[t]
         assert np.array_equal(_state_loop(A, B, u, x0), ref)
+
+
+# the modes of one path: eig gives a float array when all are real
+MODES = {
+    "real": np.array([0.5, 0.0, -(1 - 1e-6), 1 - 1e-6]),
+    "complex": np.array([0.3 + 0.9j, 0.3 - 0.9j, 0.0, 0.5,
+                         (1 - 1e-6) * np.exp(0.7j)]),
+}
+
+
+def modal_reference(lam, W, WB, u, x0):
+    """The modal run with one public ``lfilter`` call per mode: returns the
+    modal input, the modal states and the state path."""
+    N, n = u.shape[0], lam.shape[0]
+    s = np.zeros((N, n), dtype=complex)
+    s[1:] = (u @ WB.T)[:-1]
+    if x0 is not None and N:
+        s[0] = np.linalg.solve(W, np.asarray(x0, dtype=complex).reshape(n))
+    modal_in = s.copy()
+    for i in range(n):
+        s[:, i] = lfilter([1.0], [1.0, -lam[i]], s[:, i])
+    return modal_in, s, (s @ W.T).real
+
+
+class TestModalRun:
+    """The per-mode recursions keep the bits of public ``lfilter``, on the
+    direct C filter and on the fallback wrapper alike."""
+
+    @pytest.mark.parametrize("fallback", [False, True],
+                             ids=["direct", "fallback"])
+    @pytest.mark.parametrize("given", [False, True], ids=["zero", "x0"])
+    @pytest.mark.parametrize("N", [0, 1, 2, 150, 1000])
+    @pytest.mark.parametrize("modes", sorted(MODES))
+    def test_bit_identical_to_lfilter(self, modes, N, given, fallback,
+                                      monkeypatch):
+        if fallback:
+            monkeypatch.setattr(ffest.estimator, "_linear_filter",
+                                ffest.estimator._lfilter)
+        lam = MODES[modes]
+        n, q = lam.shape[0], 2
+        rng = np.random.default_rng(10 * N + given)
+        W = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        WB = rng.standard_normal((n, q)) + 1j * rng.standard_normal((n, q))
+        u = rng.standard_normal((N, q))
+        x0 = rng.standard_normal(n) if given else None
+        modal_in, states, ref = modal_reference(lam, W, WB, u, x0)
+        got = _modal_run(lam, W, WB, u, x0)
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+        # each mode's states, real and imaginary parts, strided column in
+        b, a = np.ones(1, dtype=complex), np.ones(2, dtype=complex)
+        for i in range(n):
+            a[1] = -lam[i]
+            mode = ffest.estimator._linear_filter(b, a, modal_in[:, i], -1)
+            assert np.array_equal(mode.real, states[:, i].real)
+            assert np.array_equal(mode.imag, states[:, i].imag)
+
+    def test_fast_path_is_bound(self):
+        # a scipy that moves its C filter fails here, not silently slower
+        try:
+            from scipy.signal._sigtools import _linear_filter
+        except ImportError:
+            pytest.skip("scipy has no scipy.signal._sigtools._linear_filter")
+        assert ffest.estimator._linear_filter is _linear_filter
 
 
 class TestJointOneStepPrediction:

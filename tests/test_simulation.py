@@ -1,5 +1,6 @@
 """Trajectory generation, diagnostics, CSV round-trip, determinism."""
 
+import gzip
 from dataclasses import replace
 
 import numpy as np
@@ -19,7 +20,7 @@ from ffest import (
     trajectory_rng,
 )
 from ffest.cli import _GOLDEN_CHAIN
-from ffest.errors import ValidationError
+from ffest.errors import ModelFormatError, ValidationError
 from ffest.simulation import _CSV_CHUNK_ROWS, _noise_factor
 
 from conftest import make_triangular
@@ -393,6 +394,30 @@ class TestTrajectoryCsv:
         assert np.array_equal(back.w, traj.w)
         assert np.array_equal(back.x, traj.x)
         assert np.array_equal(back.e, traj.e)
+
+    def test_gz_suffix_round_trip(self, example_innovation, tmp_path):
+        # the suffix selects no compression on either side
+        traj = simulate(example_innovation, SimConfig(N=50, seed=3))
+        path = tmp_path / "traj.csv.gz"
+        save_trajectory(traj, path)
+        assert path.read_text().startswith("t,y1,w1,")
+        back = load_trajectory(path)
+        for name in ("y", "w", "x", "e"):
+            assert np.array_equal(getattr(back, name), getattr(traj, name))
+
+    @pytest.mark.parametrize("where", ["header", "body"])
+    def test_gzip_file_rejected(self, example_innovation, tmp_path, where):
+        traj = simulate(example_innovation, SimConfig(N=5, seed=3))
+        save_trajectory(traj, tmp_path / "traj.csv")
+        text = (tmp_path / "traj.csv").read_bytes()
+        path = tmp_path / "traj.csv.gz"
+        if where == "header":  # the whole file compressed
+            path.write_bytes(gzip.compress(text))
+        else:  # a text header over a compressed body
+            head, body = text.split(b"\n", 1)
+            path.write_bytes(head + b"\n" + gzip.compress(body))
+        with pytest.raises(ModelFormatError):
+            load_trajectory(path)
 
     def test_header_format(self, example_innovation, tmp_path):
         traj = simulate(example_innovation, SimConfig(N=5, seed=3))
