@@ -5,9 +5,10 @@ Conventions that differ from the usual library defaults:
 * :func:`svd` returns singular values sorted ASCENDING, and fixes the sign
   of each right-singular-vector column so that its largest-magnitude entry
   is positive. Repeated calls are bit-identical.
-* The Lyapunov solver uses the Kronecker linearization
-  ``(I - A (x) A) vec(P) = vec(W)`` for n <= 10 and scipy's bilinear
-  (Schur-based) method above that.
+* The Lyapunov solver is scipy's, ``direct`` (the Kronecker linearization
+  ``(I - A (x) A) vec(P) = vec(W)``) for n <= 10, where its bits do not
+  move with the BLAS thread count, and ``bilinear`` above. scipy's default
+  takes ``bilinear`` at n = 10, which would move the benchmark's bits.
 * The Riccati solver takes the stabilizing solution of the dual discrete
   algebraic Riccati equation from scipy's generalized Schur method
   (Arnold & Laub, Proc. IEEE 72(12), 1984); nothing is iterated.
@@ -115,13 +116,8 @@ def solve_discrete_lyapunov(A, W):
         raise IndefiniteCovarianceError("W must be positive semidefinite")
     _require_stable(A)
 
-    # small systems keep the Kronecker solve: the identification benchmark's
-    # orderings move with the last bits of the stationary initial states
-    if n <= 10:
-        lhs = np.eye(n * n) - np.kron(A, A)
-        P = np.linalg.solve(lhs, W.reshape(-1)).reshape(n, n)
-    else:
-        P = scipy.linalg.solve_discrete_lyapunov(A, W, method="bilinear")
+    P = scipy.linalg.solve_discrete_lyapunov(
+        A, W, method="direct" if n <= 10 else "bilinear")
     P = 0.5 * (P + P.T)
 
     resid = np.linalg.norm(P - A @ P @ A.T - W)

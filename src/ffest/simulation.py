@@ -3,8 +3,8 @@
 Reproducibility contract: the generator is numpy's PCG64 seeded through
 ``SeedSequence(entropy=seed)``; trajectory ``i`` of a batch uses
 ``SeedSequence(entropy=seed, spawn_key=(i,))``. Same (model, config) in,
-bit-identical trajectory out for a fixed BLAS thread count; the stationary
-start's P can differ by 2.2e-16 between one and two threads, and x0 with it.
+bit-identical trajectory out at any BLAS thread count, stationary start
+included (``test_bits_do_not_depend_on_blas_threads`` checks one and two).
 """
 
 import warnings

@@ -90,9 +90,9 @@ CASES = ("pred_full", "gen_full", "pred_partial", "gen_partial")
 # single-entry cases keep scipy's finite differences: with exact gradients
 # the benchmark's N = 150 means reverse the generator-beats-predictor
 # ordering (gen_partial 5.77385 against pred_partial 5.75816, where finite
-# differences give 5.71455 and 5.76509), and that ordering holds at only
-# 1.2-1.4 standard errors over its 20 repetitions, so switching these cases
-# waits for paired exact-MSE margins that can tell the two apart.
+# differences give 5.71455 and 5.76509, at any BLAS thread count), and it
+# holds at only 1.2-1.4 standard errors over 20 repetitions, so these cases
+# wait for paired exact-MSE margins that can tell the two apart.
 ADJOINT_CASES = ("pred_full", "gen_full")
 
 _STAB_LIMIT = 1.0 - 1e-6

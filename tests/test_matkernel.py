@@ -4,6 +4,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.signal import place_poles
 
 from ffest import (
@@ -41,6 +45,66 @@ DELTA_ORACLE = np.array(
 K_ORACLE = np.array(
     [[0.4989046353, 0.9014869741], [0.494718551, 0.1056735267]]
 )
+
+
+def kron_lyapunov(A, W):
+    """Reference: ``P = A P A^T + W`` as the linear system
+    ``(I - A (x) A) vec(P) = vec(W)``, solved by numpy's LU."""
+    n = A.shape[0]
+    lhs = np.eye(n * n) - np.kron(A, A)
+    return np.linalg.solve(lhs, W.reshape(-1)).reshape(n, n)
+
+
+def lyapunov_residual(A, W, P):
+    return np.linalg.norm(P - A @ P @ A.T - W)
+
+
+def assert_matches_kron(A, W, P):
+    """``P`` against :func:`kron_lyapunov`. With L(P) = P - A P A^T, both
+    satisfy L(P) = W + R up to their own residual R, so they differ by at
+    most ||L^-1|| (||R1|| + ||R2||), ||L^-1|| = 1 / sigma_min(I - A (x) A)
+    in the Frobenius norm. Each computed residual is off from R by at most
+    (2n + 4) eps (||A||^2 ||P|| + ||P|| + ||W||)."""
+    n = A.shape[0]
+    ref = kron_lyapunov(A, W)
+    assert P.shape == ref.shape == (n, n)
+    if n == 0:
+        return
+    eps = np.finfo(float).eps
+    sigma_min = np.linalg.svd(np.eye(n * n) - np.kron(A, A),
+                              compute_uv=False)[-1]
+    bound = 0.0
+    for X in (P, ref):
+        slack = (2 * n + 4) * eps * (np.linalg.norm(A) ** 2 * np.linalg.norm(X)
+                                     + np.linalg.norm(X) + np.linalg.norm(W))
+        bound += lyapunov_residual(A, W, X) + slack
+    assert np.linalg.norm(P - ref) <= bound / sigma_min
+
+
+def random_lyapunov_inputs(n, seed, rho=0.9):
+    """A stable A of spectral radius ``rho`` and a PSD W, both n x n."""
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, n))
+    if n:
+        A *= rho / spectral_radius(A)
+    G = rng.standard_normal((n, n))
+    return A, G @ G.T
+
+
+@st.composite
+def stable_lyapunov_inputs(draw):
+    """A stable A (n from 0 to 12) and a PSD W. A is scaled to a drawn
+    spectral radius of at most 0.95, or further down to a spectral norm of
+    3: a tiny spectral radius scaled up would give A an astronomically
+    large nilpotent part, where no solver is accurate."""
+    n = draw(st.integers(0, 12))
+    entries = st.floats(-1.0, 1.0, allow_subnormal=False)
+    A = draw(hnp.arrays(float, (n, n), elements=entries))
+    G = draw(hnp.arrays(float, (n, n), elements=entries))
+    rho = spectral_radius(A)
+    if rho > 0.0:
+        A *= min(draw(st.floats(0.0, 0.95)) / rho, 3.0 / np.linalg.norm(A, 2))
+    return A, G @ G.T
 
 
 class TestSvd:
@@ -129,6 +193,29 @@ class TestLyapunov:
         assert np.linalg.norm(P - A @ P @ A.T - W) <= 1e-8 * (
             1 + np.linalg.norm(P)
         )
+
+    # n = 11 is the first size on the bilinear side of the method switch
+    @pytest.mark.parametrize("n", [0, 1, 2, 10, 11])
+    def test_kronecker_oracle(self, n):
+        A, W = random_lyapunov_inputs(n, seed=n)
+        assert_matches_kron(A, W, solve_discrete_lyapunov(A, W))
+
+    def test_benchmark_system_bits(self):
+        # the stationary starts of the identification benchmark (n = 10)
+        # are drawn from this P: it is scipy's direct method, symmetrized
+        m = assemble(random_benchmark_system())
+        A, W = m.A, m.K @ m.Q @ m.K.T
+        P = scipy.linalg.solve_discrete_lyapunov(A, W, method="direct")
+        assert np.array_equal(solve_discrete_lyapunov(A, W), 0.5 * (P + P.T))
+
+    @settings(derandomize=True, deadline=None)
+    @given(stable_lyapunov_inputs())
+    def test_random_stable_systems(self, inputs):
+        A, W = inputs
+        P = solve_discrete_lyapunov(A, W)
+        assert np.array_equal(P, P.T)
+        assert lyapunov_residual(A, W, P) <= 1e-9 * (1.0 + np.linalg.norm(P))
+        assert_matches_kron(A, W, P)
 
     def test_unstable_raises(self):
         with pytest.raises(StabilityError):

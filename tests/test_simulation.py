@@ -1,7 +1,11 @@
 """Trajectory generation, diagnostics, CSV round-trip, determinism."""
 
 import gzip
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -97,7 +101,50 @@ def per_sample_simulate(model, cfg):
     return Trajectory(y=Z[:, :model.p], w=Z[:, model.p:], x=X, e=e)
 
 
+# digests of a stationary simulate and of small benchmark rows, one per line
+_DIGEST_SCRIPT = """
+import hashlib
+from ffest import (OptimizerConfig, SimConfig, assemble, benchmark,
+                   random_benchmark_system, simulate)
+
+t = random_benchmark_system()
+traj = simulate(assemble(t), SimConfig(N=1000, seed=0))
+h = hashlib.sha256()
+for a in (traj.x, traj.y, traj.w, traj.e):
+    h.update(a.tobytes())
+print("simulate", h.hexdigest())
+res = benchmark(t, Ns=(150,), M=1, N_val=200,
+                opt=OptimizerConfig(restarts=0, maxiter=3))
+h = hashlib.sha256()
+for r in res.rows:
+    h.update(repr((r.case, r.N, r.rep, r.training_mse, r.validation_mse,
+                   r.error)).encode())
+    h.update(r.vaf.tobytes())
+print("rows", h.hexdigest())
+"""
+
+
+def blas_thread_digests(threads):
+    """The digest lines of ``_DIGEST_SCRIPT`` run in a fresh interpreter on
+    this checkout's ``src`` with ``threads`` BLAS threads."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = str(threads)
+    out = subprocess.run([sys.executable, "-c", _DIGEST_SCRIPT], env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=300)
+    return out.stdout.splitlines()
+
+
 class TestSimulate:
+    def test_bits_do_not_depend_on_blas_threads(self):
+        # the stationary start solves a Lyapunov equation; its last bits,
+        # and every fit trained on them, must not move with the threads
+        one, two = blas_thread_digests(1), blas_thread_digests(2)
+        assert len(one) == 2
+        assert one == two
+
     @pytest.mark.parametrize("init", ["stationary", "zero", "explicit"])
     @pytest.mark.parametrize("model", ["benchmark", "benchmark-30",
                                        "driven"])

@@ -491,6 +491,28 @@ class TestGradient:
         self.check(par, [value], data, region)
 
 
+class TestPartialSaddle:
+    """The partial cases' start theta = 0 is a saddle: there C11 = 0 and
+    the gain on e2, K12 + K11 D0, is 0, so the x1 estimate is 0 and the
+    objective does not move to first order in any x1 entry. Only C12, and
+    pred_partial's Q12 through D0, see the data."""
+
+    X1 = ("A11", "A12", "K11", "K12", "C11")
+
+    @pytest.mark.parametrize("case, moving", [
+        ("pred_partial", ("C12", "Q12")), ("gen_partial", ("C12",))])
+    def test_gradient_at_zero(self, fd_data, case, moving):
+        par = table_par(case)
+        _, grad = objective_and_gradient(par, np.zeros(par.theta_dim),
+                                         fd_data)
+        blocks = dict(zip(par.free, np.split(grad, par._cuts)))
+        assert sum(blocks[name].size for name in self.X1) == 72
+        for name in self.X1:
+            assert np.all(blocks[name] == 0.0), name
+        for name in moving:
+            assert np.all(blocks[name] != 0.0), name
+
+
 class TestDeadEntries:
     @pytest.mark.parametrize("case", ["gen_partial", "gen_full"])
     def test_final_estimator_ignores_dead_start_values(self, case):
