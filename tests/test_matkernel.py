@@ -60,35 +60,24 @@ def lyapunov_residual(A, W, P):
 
 
 def assert_matches_kron(A, W, P):
-    """``P`` against :func:`kron_lyapunov`. With L(P) = P - A P A^T, both
-    satisfy L(P) = W + R up to their own residual R, so they differ by at
-    most ||L^-1|| (||R1|| + ||R2||), ||L^-1|| = 1 / sigma_min(I - A (x) A)
-    in the Frobenius norm. Each computed residual is off from R by at most
-    (2n + 4) eps (||A||^2 ||P|| + ||P|| + ||W||)."""
+    """``P`` against :func:`kron_lyapunov`. With L(X) = X - A X A^T, the
+    reference has L(ref) = W + R, so P is within ||L^-1|| (||L(P) - W|| +
+    ||R||) of it, ||L^-1|| = 1 / sigma_min(I - A (x) A) in the Frobenius
+    norm. A backward-stable solve leaves ||L(P) - W|| at most n^2 eps
+    ((||A||^2 + 1) ||P|| + ||W||), n^2 the order of the Kronecker system;
+    that allowance is doubled for the rounding of the computed R."""
     n = A.shape[0]
     ref = kron_lyapunov(A, W)
     assert P.shape == ref.shape == (n, n)
     if n == 0:
         return
-    eps = np.finfo(float).eps
     sigma_min = np.linalg.svd(np.eye(n * n) - np.kron(A, A),
                               compute_uv=False)[-1]
-    bound = 0.0
-    for X in (P, ref):
-        slack = (2 * n + 4) * eps * (np.linalg.norm(A) ** 2 * np.linalg.norm(X)
-                                     + np.linalg.norm(X) + np.linalg.norm(W))
-        bound += lyapunov_residual(A, W, X) + slack
-    assert np.linalg.norm(P - ref) <= bound / sigma_min
-
-
-def random_lyapunov_inputs(n, seed, rho=0.9):
-    """A stable A of spectral radius ``rho`` and a PSD W, both n x n."""
-    rng = np.random.default_rng(seed)
-    A = rng.standard_normal((n, n))
-    if n:
-        A *= rho / spectral_radius(A)
-    G = rng.standard_normal((n, n))
-    return A, G @ G.T
+    scale = ((np.linalg.norm(A) ** 2 + 1.0) * np.linalg.norm(ref)
+             + np.linalg.norm(W))
+    allowed = 2 * n**2 * np.finfo(float).eps * scale
+    bound = (lyapunov_residual(A, W, ref) + allowed) / sigma_min
+    assert np.linalg.norm(P - ref) <= bound
 
 
 @st.composite
@@ -197,7 +186,12 @@ class TestLyapunov:
     # n = 11 is the first size on the bilinear side of the method switch
     @pytest.mark.parametrize("n", [0, 1, 2, 10, 11])
     def test_kronecker_oracle(self, n):
-        A, W = random_lyapunov_inputs(n, seed=n)
+        rng = np.random.default_rng(n)
+        A = rng.standard_normal((n, n))
+        if n:
+            A *= 0.9 / spectral_radius(A)
+        G = rng.standard_normal((n, n))
+        W = G @ G.T
         assert_matches_kron(A, W, solve_discrete_lyapunov(A, W))
 
     def test_benchmark_system_bits(self):

@@ -500,7 +500,8 @@ class TestPartialSaddle:
     X1 = ("A11", "A12", "K11", "K12", "C11")
 
     @pytest.mark.parametrize("case, moving", [
-        ("pred_partial", ("C12", "Q12")), ("gen_partial", ("C12",))])
+        ("pred_partial", ("C12", "Q12")), ("gen_partial", ("C12",))],
+        ids=["pred_partial", "gen_partial"])
     def test_gradient_at_zero(self, fd_data, case, moving):
         par = table_par(case)
         _, grad = objective_and_gradient(par, np.zeros(par.theta_dim),
