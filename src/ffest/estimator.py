@@ -167,22 +167,18 @@ def _filter_states(e: EstimatorModel, w, x0=None):
     return yhat, X
 
 
-def _path_key(Atil, Ktil):
-    """The key of the state path of one predictor: the bytes of its
-    (Atil, Ktil)."""
-    return Atil.tobytes(), Ktil.tobytes()
-
-
-def _filter_stack(Atil, Ktil, Ctil, D0, w, x0=None, known=None):
+def _filter_stack(Atil, Ktil, Ctil, D0, w, x0=None, kept=None):
     """:func:`_filter_states` of each predictor whose matrices are stacked
     along the first axis; yields ``(index, yhat, X)`` one predictor at a
     time. Predictors whose (Atil, Ktil) are equal bit for bit share one
-    state path. ``known`` maps :func:`_path_key` keys to paths already run
-    on the same ``w`` and ``x0``; predictors with such a key reuse them."""
-    known = {} if known is None else known
+    state path. ``kept``, a dict, holds the state path of one predictor run
+    on the same ``w`` and ``x0``: predictors with its (Atil, Ktil) reuse it,
+    and the call leaves the path of its first predictor in its place."""
+    known = dict(kept or {})
     paths = {}
     for i in range(len(Atil)):
-        paths.setdefault(_path_key(Atil[i], Ktil[i]), []).append(i)
+        paths.setdefault((Atil[i].tobytes(), Ktil[i].tobytes()),
+                         []).append(i)
     first = [items[0] for key, items in paths.items() if key not in known]
     if Atil.shape[-1]:
         states = _state_paths(Atil[first], Ktil[first], w, x0)
@@ -190,6 +186,9 @@ def _filter_stack(Atil, Ktil, Ctil, D0, w, x0=None, known=None):
         states = (np.zeros((w.shape[0], 0)) for _ in first)
     for key, items in paths.items():
         X = known[key] if key in known else next(states)
+        if kept is not None and items[0] == 0:
+            kept.clear()
+            kept[key] = X
         for i in items:
             yhat = w @ D0[i].T
             if X.shape[1]:

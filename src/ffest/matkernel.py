@@ -110,18 +110,21 @@ def solve_discrete_lyapunov(A, W):
     if A.shape != (n, n) or W.shape != (n, n):
         raise ValueError(f"dimension mismatch: A {A.shape}, W {W.shape}")
     scale = 1.0 + np.linalg.norm(W)
-    if np.linalg.norm(W - W.T) > 1e-10 * scale:
+    if not np.linalg.norm(W - W.T) <= 1e-10 * scale:
         raise ValueError("W must be symmetric")
-    if n and np.min(np.linalg.eigvalsh(0.5 * (W + W.T))) < -1e-10 * scale:
+    if n and not np.min(np.linalg.eigvalsh(0.5 * (W + W.T))) >= -1e-10 * scale:
         raise IndefiniteCovarianceError("W must be positive semidefinite")
     _require_stable(A)
 
-    P = scipy.linalg.solve_discrete_lyapunov(
-        A, W, method="direct" if n <= 10 else "bilinear")
+    try:
+        P = scipy.linalg.solve_discrete_lyapunov(
+            A, W, method="direct" if n <= 10 else "bilinear")
+    except ValueError as exc:  # an overflowed, non-finite linear system
+        raise SolverError(f"Lyapunov solver failed: {exc}") from exc
     P = 0.5 * (P + P.T)
 
     resid = np.linalg.norm(P - A @ P @ A.T - W)
-    if resid > 1e-9 * (1.0 + np.linalg.norm(P)):
+    if not resid <= 1e-9 * (1.0 + np.linalg.norm(P)):
         raise SolverError(
             f"Lyapunov residual {resid:.3g} exceeds tolerance for n={n}"
         )
@@ -144,10 +147,11 @@ def solve_innovation_riccati(A, C, Cbar, Lambda0):
     Cbar = np.asarray(Cbar, dtype=float)
     Lambda0 = np.asarray(Lambda0, dtype=float)
     n = A.shape[0]
-    if np.linalg.norm(Lambda0 - Lambda0.T) > 1e-10 * (1 + np.linalg.norm(Lambda0)):
+    if not (np.linalg.norm(Lambda0 - Lambda0.T)
+            <= 1e-10 * (1 + np.linalg.norm(Lambda0))):
         raise ValueError("Lambda0 must be symmetric")
     _require_stable(A)
-    if Lambda0.size and np.min(np.linalg.eigvalsh(Lambda0)) <= 0:
+    if Lambda0.size and not np.min(np.linalg.eigvalsh(Lambda0)) > 0:
         raise IndefiniteCovarianceError("Lambda0 is not positive definite")
 
     Pi = np.zeros((n, n))
@@ -157,14 +161,16 @@ def solve_innovation_riccati(A, C, Cbar, Lambda0):
                 A.T, C.T, np.zeros((n, n)), Lambda0, s=Cbar.T)
         except (np.linalg.LinAlgError, ValueError) as exc:
             raise ConvergenceError(f"Riccati solver failed: {exc}") from exc
+        if not np.all(np.isfinite(Pi)):
+            raise SolverError("Riccati solver returned non-finite entries")
 
     Delta = 0.5 * ((Lambda0 - C @ Pi @ C.T) + (Lambda0 - C @ Pi @ C.T).T)
-    if Delta.size and np.min(np.linalg.eigvalsh(Delta)) <= 0:
+    if Delta.size and not np.min(np.linalg.eigvalsh(Delta)) > 0:
         raise IndefiniteCovarianceError("Delta is not positive definite")
     G = Cbar.T - A @ Pi @ C.T
     K = np.linalg.solve(Delta.T, G.T).T
 
     resid = np.linalg.norm(Pi - A @ Pi @ A.T - G @ np.linalg.solve(Delta, G.T))
-    if resid > 1e-8 * (1.0 + np.linalg.norm(Pi)):
+    if not resid <= 1e-8 * (1.0 + np.linalg.norm(Pi)):
         raise SolverError(f"Riccati residual {resid:.3g} too large")
     return Pi, Delta, K

@@ -22,15 +22,17 @@ regress D0 on the w-subsystem innovations after the fit, in
 one-step joint residuals. All cases are fitted by
 minimizing the mean squared one-step prediction error of y with a
 multi-start quasi-Newton optimizer (L-BFGS-B), with a stability barrier on
-the filter matrix. pred_full and gen_full take exact gradients from one
-adjoint (reverse-time) pass of the filter, chained back through the
-barrier, the synthesis block map and gen_full's projection onto triangular
-form (:func:`objective_and_gradient`); the other cases use scipy's
-finite-difference gradients (see :data:`ADJOINT_CASES`), whose probes
-are evaluated as one batch (:func:`_objective_batch`): stacked synthesis,
-barrier and eigendecompositions, and one filter state path per distinct
-pair of filter matrices (Atil, Ktil), shared also with the point the
-gradient is taken at, with values bit-identical to :func:`objective`'s. Entries that the search cannot see, because they
+the filter matrix (:func:`objective` evaluates one theta). pred_full and
+gen_full take exact gradients from one adjoint (reverse-time) pass of the
+filter, chained back through the barrier, the synthesis block map and
+gen_full's projection onto triangular form (:func:`objective_and_gradient`).
+The other cases, whose templates are triangular, use scipy's
+finite-difference gradients (see :data:`ADJOINT_CASES`), and only they
+evaluate each gradient's probes as one batch (:func:`_objective_batch`):
+stacked synthesis, barrier and eigendecompositions, and one filter state
+path per distinct pair of filter matrices (Atil, Ktil), shared also with
+the point the gradient is taken at, with values bit-identical to
+:func:`objective`'s. Entries that the search cannot see, because they
 multiply the D0 = 0 of a generator case, are held at their template
 values.
 """
@@ -47,8 +49,7 @@ from scipy.optimize import minimize
 from .errors import (FfestError, IdentificationError, SamplingError,
                      ValidationError)
 from .estimator import (_estimator_blocks, _filter_stack, _filter_states,
-                        _path_key, _state_path, compute_d0, filter_signal,
-                        synthesize)
+                        _state_path, compute_d0, filter_signal, synthesize)
 from .matkernel import spectral_radius
 from .metrics import mse, vaf_components
 from .models import (
@@ -252,20 +253,6 @@ class Parameterization:
             tri, _, S = _transform(model, rank_tol=None, p2=self.dims.p2)
         return model, tri, S, synthesize(tri, D0=self._d0(tri))
 
-    def _predictors(self, thetas):
-        """The predictors of :meth:`_stages` at each row of ``thetas``, as
-        stacked ``(Atil, Ktil, Ctil, D0)``; a joint innovation template is
-        projected row by row."""
-        if isinstance(self.template, InnovationJointModel):
-            preds = [self._stages(theta)[3] for theta in thetas]
-            return [np.stack([getattr(e, name) for e in preds])
-                    for name in _matrix_names(EstimatorModel)]
-        b = self._blocks(thetas)
-        if isinstance(self.template, EstimatorModel):
-            return b.Atil, b.Ktil, b.Ctil, b.D0
-        D0 = self._d0(b)
-        return (*_estimator_blocks(b, D0), D0)
-
     def estimator_for(self, theta):
         return _stable(self._stages(theta)[3])
 
@@ -385,51 +372,49 @@ def objective(par: Parameterization, theta, data: Trajectory):
 
     Unstable iterates are evaluated at the projected-stable model plus a
     penalty proportional to the spectral-radius excess; undecodable
-    parameter vectors yield +inf. This is :func:`_objective_batch` of one.
+    parameter vectors yield +inf, and one of the wrong length raises
+    ValueError.
     """
-    return _objective_batch(par, np.asarray(theta, dtype=float)[None],
-                            data)[0]
+    try:
+        est, penalty = par.estimator_for(theta)
+        value = mse(data.y, _filter_states(est, data.w)[0]) + penalty
+    except (FfestError, np.linalg.LinAlgError):
+        return np.inf
+    return float(value) if np.isfinite(value) else np.inf
 
 
 def _objective_batch(par: Parameterization, thetas, data: Trajectory,
                      kept=None):
-    """:func:`objective` at each row of ``thetas``, as a list of floats.
+    """:func:`objective` at each row of ``thetas``, as a list of floats, for
+    a triangular template: the finite-difference cases.
 
     The rows are decoded, synthesized, stabilized and eigendecomposed as
     one stack, and predictors whose (Atil, Ktil) are equal bit for bit are
     filtered along one state path, one predictor at a time. The values are
     those of :func:`objective` bit for bit: every stacked step gives each
     row the bits it gets alone, and when any row fails a check, each row is
-    evaluated alone. ``kept``, a dict, holds the state path on ``data`` of
-    the first row of the previous call that passed it; rows with the same
-    (Atil, Ktil) reuse it, and this call leaves its own first row's path
-    in its place. :func:`identify` keeps one per fit and passes this to
-    L-BFGS-B as its ``workers`` map, so that a finite-difference gradient
-    is one batch that shares the path of the point it is taken at.
+    evaluated alone. ``kept`` is :func:`_filter_stack`'s state path of the
+    previous call's first row on ``data``. :func:`identify` keeps one per
+    fit and passes this to L-BFGS-B as its ``workers`` map, so that a
+    finite-difference gradient is one batch that shares the path of the
+    point it is taken at.
     """
-    thetas = np.asarray(thetas, dtype=float)
     try:
-        Atil, Ktil, Ctil, D0 = par._predictors(thetas)
+        b = par._blocks(np.asarray(thetas, dtype=float))
+        D0 = par._d0(b)
+        Atil, Ktil, Ctil = _estimator_blocks(b, D0)
         for name, a in zip(_matrix_names(EstimatorModel),
                            (Atil, Ktil, Ctil, D0)):
             _check_finite(name, a)
         Atil, penalty = _stabilize(Atil)
         _check_finite("Atil", Atil)
     except (FfestError, np.linalg.LinAlgError):
-        if len(thetas) == 1:
-            return [np.inf]
         return [objective(par, theta, data) for theta in thetas]
     values = [np.inf] * len(thetas)
-    for i, yhat, X in _filter_stack(Atil, Ktil, Ctil, D0, data.w,
-                                    known=kept):
+    for i, yhat, _ in _filter_stack(Atil, Ktil, Ctil, D0, data.w, kept=kept):
         value = mse(data.y, yhat) + penalty[i]
         if np.isfinite(value):
             values[i] = float(value)
-        if i == 0:
-            first = X
-    if kept is not None:
-        kept.clear()
-        kept[_path_key(Atil[0], Ktil[0])] = first
     return values
 
 
@@ -483,10 +468,7 @@ def objective_and_gradient(par: Parameterization, theta, data: Trajectory):
     onto triangular form. Returns (+inf, 0) where :func:`objective` is +inf
     or the gradient is not finite.
     """
-    theta = np.asarray(theta, dtype=float)
     failed = (np.inf, np.zeros(par.theta_dim))
-    if not np.all(np.isfinite(theta)):
-        return failed
     try:
         model, tri, S, pred = par._stages(theta)
         est, penalty = _stable(pred)

@@ -1,9 +1,10 @@
 """Shared fixtures: the 2-state worked example and derived forms, plus a
-small exactly-triangular 2-state test model."""
+small exactly-triangular 2-state test model and a state-path counter."""
 
 import numpy as np
 import pytest
 
+import ffest.estimator
 from ffest import (InnovationJointModel, TriangularJointModel,
                    innovation_form_details, synthesize, triangularize)
 from ffest.cli import _EXAMPLE_SYSTEM
@@ -21,6 +22,17 @@ def make_triangular(**over):
     )
     base.update(over)
     return TriangularJointModel(**base)
+
+
+def count_state_paths(monkeypatch):
+    """A list that gains one entry per state path run."""
+    paths = []
+    for name in ("_modal_run", "_state_loop"):
+        def counting(*args, run=getattr(ffest.estimator, name)):
+            paths.append(None)
+            return run(*args)
+        monkeypatch.setattr(ffest.estimator, name, counting)
+    return paths
 
 
 @pytest.fixture(scope="session")

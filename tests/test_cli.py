@@ -91,6 +91,19 @@ class TestInnovationForm:
         payload = json.loads(capsys.readouterr().err)
         assert payload["error"] == "IndefiniteCovarianceError"
 
+    # stable (spectral radius 0.5), but the Lyapunov system overflows
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowed_lyapunov_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "overflow.json"
+        save_model(StateSpaceModel(
+            A=np.array([[0.5, 1e155], [0.0, -0.5]]), B=np.eye(2),
+            C=np.eye(2), D=np.eye(2), p=1, q=1,
+        ), path)
+        assert main(["innovation-form", str(path),
+                     str(tmp_path / "out.json")]) == 3
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "SolverError"
+
     def test_unstable_model_exits_3(self, tmp_path, capsys):
         path = tmp_path / "unstable.json"
         save_model(StateSpaceModel(

@@ -22,9 +22,10 @@ from ffest import (
 from ffest.cli import _GOLDEN_ESTIMATOR, example_triangular_model
 import ffest.estimator
 from ffest.errors import FeedbackViolationError, IndefiniteCovarianceError
-from ffest.estimator import _modal_run, _state_loop
+from ffest.estimator import (_filter_stack, _filter_states, _modal_run,
+                             _state_loop)
 
-from conftest import make_triangular
+from conftest import count_state_paths, make_triangular
 
 # independently computed estimator for the worked example (frozen, in the
 # triangularize() output's own sign convention)
@@ -265,6 +266,67 @@ class TestModalRun:
         except ImportError:
             pytest.skip("scipy has no scipy.signal._sigtools._linear_filter")
         assert ffest.estimator._linear_filter is _linear_filter
+
+
+class TestFilterStack:
+    """The ``kept`` state path: the stack reuses it for predictors with its
+    (Atil, Ktil) and leaves its first predictor's path in its place."""
+
+    @pytest.fixture()
+    def predictors(self, example_estimator):
+        """The worked example, two copies that change only Ctil, and one
+        with another Atil, and the reference (yhat, X) of each alone."""
+        e = example_estimator
+        ests = [e, EstimatorModel(Atil=e.Atil, Ktil=e.Ktil,
+                                  Ctil=2.0 * e.Ctil, D0=e.D0),
+                EstimatorModel(Atil=e.Atil, Ktil=e.Ktil, Ctil=-e.Ctil,
+                               D0=e.D0),
+                EstimatorModel(Atil=0.5 * e.Atil, Ktil=e.Ktil, Ctil=e.Ctil,
+                               D0=e.D0)]
+        w = np.random.default_rng(68).standard_normal((200, 1))
+        return ests, w, [_filter_states(est, w) for est in ests]
+
+    @staticmethod
+    def run(ests, w, kept):
+        """The stack's ``(yhat, X)`` per predictor, in stack order."""
+        stack = [np.stack([getattr(e, name) for e in ests])
+                 for name in ("Atil", "Ktil", "Ctil", "D0")]
+        out = {i: (yhat, X) for i, yhat, X in _filter_stack(*stack, w,
+                                                             kept=kept)}
+        return [out[i] for i in range(len(ests))]
+
+    @staticmethod
+    def check(got, refs):
+        for (yhat, X), (ref_yhat, ref_X) in zip(got, refs):
+            assert np.array_equal(yhat, ref_yhat)
+            assert np.array_equal(X, ref_X)
+
+    def test_kept_path(self, predictors, monkeypatch):
+        ests, w, refs = predictors
+        paths = count_state_paths(monkeypatch)
+        kept = {}
+        got = self.run(ests[:2], w, kept)
+        self.check(got, refs[:2])
+        assert len(paths) == 1
+        (X,) = kept.values()
+        assert X is got[0][1]
+        # rows that change only Ctil run no new path
+        self.check(self.run(ests[1:3], w, kept), refs[1:3])
+        assert len(paths) == 1
+        # a row with another Atil runs its own; the kept path still serves
+        # a later row, and the new first row's path replaces it
+        got = self.run([ests[3], ests[0]], w, kept)
+        self.check(got, [refs[3], refs[0]])
+        assert len(paths) == 2
+        (X,) = kept.values()
+        assert X is got[0][1]
+
+    def test_without_kept(self, predictors, monkeypatch):
+        ests, w, refs = predictors
+        paths = count_state_paths(monkeypatch)
+        for _ in range(2):
+            self.check(self.run(ests, w, None), refs)
+        assert len(paths) == 4
 
 
 class TestJointOneStepPrediction:

@@ -26,6 +26,7 @@ from ffest import (
 from ffest.cli import _GOLDEN_CHAIN
 from ffest.errors import (
     IndefiniteCovarianceError,
+    SolverError,
     StabilityError,
 )
 
@@ -215,6 +216,19 @@ class TestLyapunov:
         with pytest.raises(StabilityError):
             solve_discrete_lyapunov(np.diag([1.01, 0.2]), np.eye(2))
 
+    # stable (spectral radius 0.5), but A (x) A overflows
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowed_system_raises_solver_error(self):
+        with pytest.raises(SolverError, match="Lyapunov solver failed"):
+            solve_discrete_lyapunov(np.array([[0.5, 1e155], [0.0, -0.5]]),
+                                    np.eye(2))
+
+    def test_non_finite_solution_fails_residual_gate(self, monkeypatch):
+        monkeypatch.setattr(scipy.linalg, "solve_discrete_lyapunov",
+                            lambda A, W, method: np.full(A.shape, np.nan))
+        with pytest.raises(SolverError, match="Lyapunov residual nan"):
+            solve_discrete_lyapunov(np.diag([0.5, 0.5]), np.eye(2))
+
     def test_asymmetric_w_rejected(self):
         with pytest.raises(ValueError):
             solve_discrete_lyapunov(
@@ -281,6 +295,13 @@ class TestRiccati:
             np.zeros((0, 0)), np.zeros((2, 0)), np.zeros((2, 0)), Lambda0)
         assert Pi.shape == (0, 0) and K.shape == (0, 2)
         assert np.array_equal(Delta, Lambda0)
+
+    def test_non_finite_dare_raises_solver_error(self, monkeypatch):
+        monkeypatch.setattr(scipy.linalg, "solve_discrete_are",
+                            lambda a, b, q, r, s: np.full(a.shape, np.nan))
+        Cbar, Lambda0 = self._chain()
+        with pytest.raises(SolverError, match="non-finite"):
+            solve_innovation_riccati(A_EX, C_EX, Cbar, Lambda0)
 
     def test_unstable_raises(self):
         with pytest.raises(StabilityError):

@@ -4,8 +4,9 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-import ffest.estimator
 import ffest.sysid
 from ffest import (
     Dims,
@@ -36,6 +37,8 @@ from ffest.errors import (FfestError, IdentificationError, SamplingError,
 from ffest.metrics import mse
 from ffest.sysid import CASES
 
+from conftest import count_state_paths
+
 TABLE_DIMS = Dims(n=10, p1=4, p2=6, p=3, q=2)
 
 
@@ -50,6 +53,19 @@ def table_par(case):
         return SingleEntryParameterization(random_benchmark_system(),
                                            block="C11", index=(0, 0))
     return build_parameterization(case, TABLE_DIMS, fixed=table_fixed(case))
+
+
+# the cases that search with finite differences, through _objective_batch
+FD_CASES = ("pred_partial", "gen_partial", "single_entry")
+
+
+def fd_par(case):
+    """:func:`table_par`, with single_entry freeing A11[0, 0], which the
+    stability barrier can act on."""
+    if case == "single_entry":
+        return SingleEntryParameterization(random_benchmark_system(),
+                                           block="A11", index=(0, 0))
+    return table_par(case)
 
 
 class TestParameterCounts:
@@ -279,17 +295,6 @@ def record_evaluations(monkeypatch, evaluated):
                         wrap(ffest.sysid._objective_batch, True))
 
 
-def count_state_paths(monkeypatch):
-    """A list that gains one entry per state path run."""
-    paths = []
-    for name in ("_modal_run", "_state_loop"):
-        def counting(*args, run=getattr(ffest.estimator, name)):
-            paths.append(None)
-            return run(*args)
-        monkeypatch.setattr(ffest.estimator, name, counting)
-    return paths
-
-
 class TestStateMemo:
     """identify's finite-difference probes share filter states: each
     gradient is one batch, with one state path per distinct (Atil, Ktil)
@@ -367,18 +372,16 @@ class TestObjectiveBatch:
         inf[0] = np.inf
         return good, np.vstack([good, inf, base + 1e307])
 
-    @pytest.mark.parametrize("case", CASES + ("single_entry",))
+    # the rows base + 5 (barrier) and base + 1e307 overflow on purpose
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("case", FD_CASES)
     def test_batch_equals_objective(self, fd_data, case, monkeypatch):
-        # single_entry frees A11[0, 0], which the barrier can act on
-        par = (SingleEntryParameterization(random_benchmark_system(),
-                                           block="A11", index=(0, 0))
-               if case == "single_entry" else table_par(case))
+        par = fd_par(case)
         good, every = self.thetas(par)
         for rows in (good, every):
             values = ffest.sysid._objective_batch(par, rows, fd_data)
             assert values == [objective(par, theta, fd_data) for theta in rows]
-        if case in ("pred_full", "gen_full"):
-            return
         assert par.estimator_for(good[1])[1] > 0.0
         assert objective(par, every[-2], fd_data) == np.inf
         if case != "single_entry":
@@ -389,6 +392,33 @@ class TestObjectiveBatch:
         paths = count_state_paths(monkeypatch)
         ffest.sysid._objective_batch(par, good, fd_data)
         assert len(paths) == len(keys) < len(good)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(case=st.sampled_from(FD_CASES), seed=st.integers(0, 2**32 - 1),
+           probes=st.integers(1, 6))
+    def test_batch_equals_objective_property(self, fd_data, case, seed,
+                                             probes):
+        # rows as identify batches them: points at a small scale and with
+        # the barrier active, forward probes of single coordinates, and a
+        # repeated row
+        par = fd_par(case)
+        rng = np.random.default_rng(seed)
+        base = par.encode(par.template)
+        z = rng.standard_normal((2, par.theta_dim))
+        points = [base + 0.05 * z[0], base + np.sign(z[1]) * (2.0 + abs(z[1]))]
+        assert par.estimator_for(points[1])[1] > 0.0
+        rows = list(points)
+        for theta in points:
+            for i in rng.choice(par.theta_dim, min(probes, par.theta_dim),
+                                replace=False):
+                probe = theta.copy()
+                probe[i] += np.sqrt(np.finfo(float).eps) * max(1.0,
+                                                               abs(theta[i]))
+                rows.append(probe)
+        rows.insert(int(rng.integers(len(rows) + 1)), rows[0])
+        values = ffest.sysid._objective_batch(par, np.array(rows), fd_data)
+        assert values == [objective(par, theta, fd_data) for theta in rows]
 
     @pytest.mark.parametrize("rows", [1, 3])
     def test_wrong_length_raises(self, fd_data, rows):
