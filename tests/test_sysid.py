@@ -372,7 +372,7 @@ class TestObjectiveBatch:
         inf[0] = np.inf
         return good, np.vstack([good, inf, base + 1e307])
 
-    # the rows base + 5 (barrier) and base + 1e307 overflow on purpose
+    # the row base + 1e307 overflows on purpose, in synthesis and barrier
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("case", FD_CASES)
@@ -393,7 +393,6 @@ class TestObjectiveBatch:
         ffest.sysid._objective_batch(par, good, fd_data)
         assert len(paths) == len(keys) < len(good)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @settings(derandomize=True, deadline=None, max_examples=40)
     @given(case=st.sampled_from(FD_CASES), seed=st.integers(0, 2**32 - 1),
            probes=st.integers(1, 6))
