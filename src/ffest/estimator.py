@@ -10,8 +10,9 @@ blocks as
 with output yhat = Ctil xhat + D0 w (plus sign on the direct term).
 """
 
+from functools import cache
+
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import IndefiniteCovarianceError
 from .models import (EstimatorModel, InnovationJointModel,
@@ -25,18 +26,19 @@ __all__ = [
 ]
 
 
-def _lfilter(b, a, x, axis):
-    """``lfilter`` with the signature of scipy's C linear filter; stands in
-    for it when scipy no longer has it where it is imported from."""
-    return lfilter(b, a, x, axis)
-
-
-try:
-    # the C routine lfilter ends in for a two-coefficient a; called directly
-    # it skips lfilter's per-call argument handling, with the same bits
-    from scipy.signal._sigtools import _linear_filter
-except ImportError:
-    _linear_filter = _lfilter
+@cache
+def _linear_filter():
+    """The C routine ``lfilter`` ends in for a two-coefficient ``a``,
+    imported on first use, since ``scipy.signal`` costs most of the import
+    time of the package; called directly it skips lfilter's per-call
+    argument handling, with the same bits. Public ``lfilter``, which takes
+    the same positional ``(b, a, x, axis)``, stands in where scipy no
+    longer has it."""
+    try:
+        from scipy.signal._sigtools import _linear_filter as routine
+    except ImportError:
+        from scipy.signal import lfilter as routine
+    return routine
 
 
 def compute_d0(Q12, Q22):
@@ -48,7 +50,7 @@ def compute_d0(Q12, Q22):
     if Q22.size:
         lam_min = np.min(np.linalg.eigvalsh(0.5 * (Q22 + Q22t)), axis=-1)
         scale = 1.0 + np.linalg.norm(Q22, axis=(-2, -1))
-        if np.any(lam_min <= 1e-12 * scale):
+        if not np.all(lam_min > 1e-12 * scale):
             raise IndefiniteCovarianceError(
                 f"input innovation covariance is singular "
                 f"(smallest eigenvalue {np.min(lam_min):.3g})"
@@ -127,9 +129,10 @@ def _modal_run(lam, W, WB, u, x0=None):
     if x0 is not None and N:
         s[0] = np.linalg.solve(W, np.asarray(x0, dtype=complex).reshape(n))
     b, a = np.ones(1, dtype=complex), np.ones(2, dtype=complex)
+    linear_filter = _linear_filter()
     for i in range(n):
         a[1] = -lam[i]
-        s[:, i] = _linear_filter(b, a, s[:, i], -1)
+        s[:, i] = linear_filter(b, a, s[:, i], -1)
     return (s @ W.T).real
 
 

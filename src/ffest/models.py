@@ -47,8 +47,7 @@ def _arr(x):
 
 
 def _check_finite(name, a):
-    # a finite-entry matrix has a finite sum; any nan/inf poisons it
-    if not np.isfinite(a.sum()):
+    if not np.isfinite(a).all():
         raise ValidationError(f"{name} contains non-finite entries")
 
 

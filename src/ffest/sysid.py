@@ -44,7 +44,6 @@ from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import (FfestError, IdentificationError, SamplingError,
                      ValidationError)
@@ -518,6 +517,10 @@ def identify(par: Parameterization, data: Trajectory,
     gets at least one random start: theta = 0 is a saddle, where Atil, Ktil
     and Ctil multiply each other's zeros and only D0 moves.
     """
+    # imported here, its only user, so that importing ffest does not load
+    # scipy.optimize
+    from scipy.optimize import minimize
+
     opt = opt or OptimizerConfig()
     if data.N <= par.theta_dim:
         warnings.warn(

@@ -1,5 +1,7 @@
 """Model types, validation reports, block assembly, JSON round-trips."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,25 @@ class TestConstructors:
                 A=np.array([[np.nan]]), K=np.ones((1, 2)),
                 C=np.ones((2, 1)), Q=np.eye(2), p=1, q=1,
             )
+
+    def test_finite_check_without_overflow(self):
+        # huge finite entries pass without the overflow a sum would hit;
+        # nan and +-inf are still rejected
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            big = np.full((3, 1), 1e308)
+            traj = Trajectory(y=big, w=-big)
+            assert np.array_equal(traj.y, big)
+            for bad in (np.nan, np.inf, -np.inf):
+                y = big.copy()
+                y[1, 0] = bad
+                with pytest.raises(ValidationError):
+                    Trajectory(y=y, w=big)
+                with pytest.raises(ValidationError):
+                    InnovationJointModel(
+                        A=np.array([[bad]]), K=np.ones((1, 2)),
+                        C=np.ones((2, 1)), Q=np.eye(2), p=1, q=1,
+                    )
 
     def test_trajectory_sample_count_mismatch(self):
         with pytest.raises(ValidationError):
