@@ -165,38 +165,11 @@ def filter_signal(e: EstimatorModel, w, x0=None):
 def _filter_states(e: EstimatorModel, w, x0=None):
     """:func:`filter_signal` on a checked N x q float ``w``, keeping the
     states: returns ``(yhat, X)`` with X the N x n states xhat(0..N-1)."""
-    _, yhat, X = next(_filter_stack(e.Atil[None], e.Ktil[None], e.Ctil[None],
-                                    e.D0[None], w, x0))
-    return yhat, X
-
-
-def _filter_stack(Atil, Ktil, Ctil, D0, w, x0=None, kept=None):
-    """:func:`_filter_states` of each predictor whose matrices are stacked
-    along the first axis; yields ``(index, yhat, X)`` one predictor at a
-    time. Predictors whose (Atil, Ktil) are equal bit for bit share one
-    state path. ``kept``, a dict, holds the state path of one predictor run
-    on the same ``w`` and ``x0``: predictors with its (Atil, Ktil) reuse it,
-    and the call leaves the path of its first predictor in its place."""
-    known = dict(kept or {})
-    paths = {}
-    for i in range(len(Atil)):
-        paths.setdefault((Atil[i].tobytes(), Ktil[i].tobytes()),
-                         []).append(i)
-    first = [items[0] for key, items in paths.items() if key not in known]
-    if Atil.shape[-1]:
-        states = _state_paths(Atil[first], Ktil[first], w, x0)
-    else:
-        states = (np.zeros((w.shape[0], 0)) for _ in first)
-    for key, items in paths.items():
-        X = known[key] if key in known else next(states)
-        if kept is not None and items[0] == 0:
-            kept.clear()
-            kept[key] = X
-        for i in items:
-            yhat = w @ D0[i].T
-            if X.shape[1]:
-                yhat += X @ Ctil[i].T
-            yield i, yhat, X
+    yhat = w @ e.D0.T
+    if not e.n:
+        return yhat, np.zeros((w.shape[0], 0))
+    X = _state_path(e.Atil, e.Ktil, w, x0)
+    return yhat + X @ e.Ctil.T, X
 
 
 def joint_one_step_prediction(m: InnovationJointModel | TriangularJointModel,

@@ -30,11 +30,10 @@ The other cases, whose templates are triangular, use scipy's
 finite-difference gradients (see :data:`ADJOINT_CASES`), and only they
 evaluate each gradient's probes as one batch (:func:`_objective_batch`):
 stacked synthesis, barrier and eigendecompositions, and one filter state
-path per distinct pair of filter matrices (Atil, Ktil), shared also with
-the point the gradient is taken at, with values bit-identical to
-:func:`objective`'s. Entries that the search cannot see, because they
-multiply the D0 = 0 of a generator case, are held at their template
-values.
+path per distinct pair of filter matrices (Atil, Ktil), with values
+bit-identical to :func:`objective`'s. Entries that the search cannot see,
+because they multiply the D0 = 0 of a generator case, are held at their
+template values.
 """
 
 import warnings
@@ -47,8 +46,9 @@ import numpy as np
 
 from .errors import (FfestError, IdentificationError, SamplingError,
                      ValidationError)
-from .estimator import (_estimator_blocks, _filter_stack, _filter_states,
-                        _state_path, compute_d0, filter_signal, synthesize)
+from .estimator import (_estimator_blocks, _filter_states, _linear_filter,
+                        _state_path, _state_paths, compute_d0, filter_signal,
+                        synthesize)
 from .matkernel import spectral_radius
 from .metrics import mse, vaf_components
 from .models import (
@@ -382,21 +382,17 @@ def objective(par: Parameterization, theta, data: Trajectory):
     return float(value) if np.isfinite(value) else np.inf
 
 
-def _objective_batch(par: Parameterization, thetas, data: Trajectory,
-                     kept=None):
+def _objective_batch(par: Parameterization, thetas, data: Trajectory):
     """:func:`objective` at each row of ``thetas``, as a list of floats, for
     a triangular template: the finite-difference cases.
 
     The rows are decoded, synthesized, stabilized and eigendecomposed as
-    one stack, and predictors whose (Atil, Ktil) are equal bit for bit are
-    filtered along one state path, one predictor at a time. The values are
-    those of :func:`objective` bit for bit: every stacked step gives each
-    row the bits it gets alone, and when any row fails a check, each row is
-    evaluated alone. ``kept`` is :func:`_filter_stack`'s state path of the
-    previous call's first row on ``data``. :func:`identify` keeps one per
-    fit and passes this to L-BFGS-B as its ``workers`` map, so that a
-    finite-difference gradient is one batch that shares the path of the
-    point it is taken at.
+    one stack, and rows whose (Atil, Ktil) are equal bit for bit share one
+    state path. The values are those of :func:`objective` bit for bit:
+    every stacked step gives each row the bits it gets alone, and when any
+    row fails a check, each row is evaluated alone. :func:`identify` passes
+    this to L-BFGS-B as its ``workers`` map, so that the probes of a
+    finite-difference gradient are one batch.
     """
     try:
         b = par._blocks(np.asarray(thetas, dtype=float))
@@ -409,11 +405,19 @@ def _objective_batch(par: Parameterization, thetas, data: Trajectory,
         _check_finite("Atil", Atil)
     except (FfestError, np.linalg.LinAlgError):
         return [objective(par, theta, data) for theta in thetas]
-    values = [np.inf] * len(thetas)
-    for i, yhat, _ in _filter_stack(Atil, Ktil, Ctil, D0, data.w, kept=kept):
-        value = mse(data.y, yhat) + penalty[i]
-        if np.isfinite(value):
-            values[i] = float(value)
+    groups = {}
+    for i in range(len(Atil)):
+        groups.setdefault((Atil[i].tobytes(), Ktil[i].tobytes()), []).append(i)
+    first = [rows[0] for rows in groups.values()]
+    paths = (_state_paths(Atil[first], Ktil[first], data.w) if Atil.shape[-1]
+             else (np.zeros((data.N, 0)) for _ in first))
+    values = [np.inf] * len(Atil)
+    for rows, X in zip(groups.values(), paths):
+        for i in rows:
+            yhat = data.w @ D0[i].T + X @ Ctil[i].T
+            value = mse(data.y, yhat) + penalty[i]
+            if np.isfinite(value):
+                values[i] = float(value)
     return values
 
 
@@ -546,17 +550,11 @@ def identify(par: Parameterization, data: Trajectory,
     if par.case in ADJOINT_CASES:
         fun, jac = (lambda th: objective_and_gradient(par, th, data)), True
     else:
-        # scipy evaluates each point, then maps its own wrapper of fun over
-        # the probes of the point's finite-difference gradient; evaluate
-        # them as one batch instead, starting from the point's state path
-        kept = {}
-        jac = None
-
-        def fun(theta):
-            return _objective_batch(par, [theta], data, kept)[0]
-
+        # scipy maps its own wrapper of fun over the probes of each
+        # finite-difference gradient; evaluate them as one batch instead
+        fun, jac = (lambda th: objective(par, th, data)), None
         options["workers"] = (
-            lambda _, probes: _objective_batch(par, list(probes), data, kept))
+            lambda _, probes: _objective_batch(par, list(probes), data))
 
     best = None
     total_iters = 0
@@ -760,6 +758,10 @@ def benchmark(system: TriangularJointModel, cases=CASES, Ns=(150, 1000),
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
+        # load the filter kernel and the optimizer before the pool starts,
+        # so that forked workers inherit them instead of each importing both
+        import scipy.optimize  # noqa: F401
+        _linear_filter()
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_benchmark_cell, *zip(*tasks), chunksize=1))
     else:

@@ -276,10 +276,10 @@ def record_evaluations(monkeypatch, evaluated):
     depth = [0]
 
     def wrap(fn, batch):
-        def recording(par, thetas, data, *kept):
+        def recording(par, thetas, data):
             depth[0] += 1
             try:
-                values = fn(par, thetas, data, *kept)
+                values = fn(par, thetas, data)
             finally:
                 depth[0] -= 1
             if not depth[0]:
@@ -295,24 +295,39 @@ def record_evaluations(monkeypatch, evaluated):
                         wrap(ffest.sysid._objective_batch, True))
 
 
+def pair_keys(par, thetas):
+    """The distinct (Atil, Ktil) bit patterns of the rows of ``thetas``."""
+    return {(e.Atil.tobytes(), e.Ktil.tobytes())
+            for e, _ in map(par.estimator_for, thetas)}
+
+
 class TestStateMemo:
     """identify's finite-difference probes share filter states: each
     gradient is one batch, with one state path per distinct (Atil, Ktil)
-    bit pattern, and probes reuse the path of the point the gradient is
-    taken at."""
+    bit pattern."""
 
     @pytest.mark.parametrize("case",
                              ["pred_partial", "gen_partial", "single_entry"])
     def test_search_values_are_exact(self, fd_data, case, monkeypatch):
         par = table_par(case)
         evaluated = []
+        batches = []  # (rows, state paths run) per batch
         paths = count_state_paths(monkeypatch)
+        batch = ffest.sysid._objective_batch
+
+        def counting(par, thetas, data):
+            before = len(paths)
+            values = batch(par, thetas, data)
+            batches.append((np.array(thetas), len(paths) - before))
+            return values
+
+        monkeypatch.setattr(ffest.sysid, "_objective_batch", counting)
         record_evaluations(monkeypatch, evaluated)
         identify(par, fd_data, opt=OptimizerConfig(restarts=0, maxiter=5))
         monkeypatch.undo()
-        # probes shared states with each other and with the point of their
-        # gradient (the count includes the post-fit)
-        assert len(paths) < len(evaluated)
+        assert batches
+        for rows, ran in batches:
+            assert ran == len(pair_keys(par, rows))
         for theta, value in evaluated:
             assert value == plain_objective(par, theta, fd_data)
 
@@ -331,7 +346,7 @@ class TestStateMemo:
             assert (objective(par, theta, traj)
                     == plain_objective(par, theta, traj))
         # every theta of the C11 entry has the same (Atil, Ktil), so a path
-        # kept from the fit on the other data would be reused here
+        # that outlived the fit on the other data would serve here
         par = table_par("single_entry")
         for traj in trajs:
             evaluated = []
@@ -394,11 +409,20 @@ class TestObjectiveBatch:
             # barrier rejects the huge Atil
             est, penalty = par.estimator_for(every[-1])
             assert np.isfinite(est.Atil).all() and penalty == np.inf
-        keys = {(e.Atil.tobytes(), e.Ktil.tobytes())
-                for e, _ in map(par.estimator_for, good)}
+
+    @pytest.mark.parametrize("case", FD_CASES)
+    def test_one_path_per_distinct_pair(self, fd_data, case, monkeypatch):
+        # each call runs one state path per distinct (Atil, Ktil) among its
+        # rows and keeps none for the next
+        par = fd_par(case)
+        good, _ = self.thetas(par)
+        expected = [objective(par, theta, fd_data) for theta in good]
+        keys = pair_keys(par, good)
+        assert len(keys) < len(good)
         paths = count_state_paths(monkeypatch)
-        ffest.sysid._objective_batch(par, good, fd_data)
-        assert len(paths) == len(keys) < len(good)
+        for calls in (1, 2):
+            assert ffest.sysid._objective_batch(par, good, fd_data) == expected
+            assert len(paths) == calls * len(keys)
 
     @settings(derandomize=True, deadline=None, max_examples=40)
     @given(case=st.sampled_from(FD_CASES), seed=st.integers(0, 2**32 - 1),
