@@ -48,6 +48,7 @@ from .simulation import (
     simulate,
 )
 from .sysid import (
+    BENCHMARK_OPT,
     CASES,
     Dims,
     OptimizerConfig,
@@ -358,9 +359,9 @@ def _build_parser():
     s.add_argument("--truth", default=None,
                    help="model JSON providing the known blocks "
                         "(required for all cases except pred_full)")
-    s.add_argument("--restarts", type=int, default=5)
-    s.add_argument("--maxiter", type=int, default=2000)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--restarts", type=int, default=OptimizerConfig.restarts)
+    s.add_argument("--maxiter", type=int, default=OptimizerConfig.maxiter)
+    s.add_argument("--seed", type=int, default=OptimizerConfig.seed)
     s.set_defaults(func=cmd_identify)
 
     bench = sub.add_parser("benchmark",
@@ -383,8 +384,8 @@ def _build_parser():
         s.add_argument("--N", type=int, action="append", default=None,
                        help="training sample size (repeatable)")
         s.add_argument("--seed", type=int, default=0)
-        s.add_argument("--restarts", type=int, default=0)
-        s.add_argument("--maxiter", type=int, default=20)
+        s.add_argument("--restarts", type=int, default=BENCHMARK_OPT.restarts)
+        s.add_argument("--maxiter", type=int, default=BENCHMARK_OPT.maxiter)
         s.add_argument("--workers", type=int, default=1)
         s.add_argument("--out-dir", default=".")
         s.add_argument("--prefix", default=prefix)

@@ -91,7 +91,7 @@ def _state_path(A, B, u, x0=None):
 def _state_paths(A, B, u, x0=None):
     """State paths of x+ = A[j] x + B[j] u(t) for each pair stacked along
     the first axis of A and B, all started from x0 (default 0); yields one
-    N x n path at a time, in stack order.
+    N x n path at a time, in stack order (N x 0 when A has no states).
 
     The decomposition half runs on the whole stack at once: the eigenbasis
     of each A[j], its condition number, and the modal input map. numpy's
@@ -100,18 +100,20 @@ def _state_paths(A, B, u, x0=None):
     (scipy's C linear filter, called directly) on the one-step-shifted
     modal input, whose first sample is the modal initial state. A path
     falls back to the plain time loop when its A is too far from
-    diagonalizable.
+    diagonalizable, or when it is alone and its decomposition fails; a
+    stack of more pairs whose decomposition fails raises LinAlgError.
     """
+    if not A.shape[-1]:
+        yield from (np.zeros((u.shape[0], 0)) for _ in A)
+        return
     try:
         lam, W = np.linalg.eig(A)
         cond = np.linalg.cond(W)
         modal = np.isfinite(cond) & (cond < 1e8)
         WB = iter(np.linalg.solve(W[modal], B[modal].astype(complex)))
     except np.linalg.LinAlgError:
-        if len(A) > 1:  # decompose each pair alone, as if given alone
-            for j in range(len(A)):
-                yield from _state_paths(A[j:j + 1], B[j:j + 1], u, x0)
-            return
+        if len(A) > 1:
+            raise
         modal = [False]
     for j in range(len(A)):
         yield (_modal_run(lam[j], W[j], next(WB), u, x0) if modal[j]
@@ -165,11 +167,8 @@ def filter_signal(e: EstimatorModel, w, x0=None):
 def _filter_states(e: EstimatorModel, w, x0=None):
     """:func:`filter_signal` on a checked N x q float ``w``, keeping the
     states: returns ``(yhat, X)`` with X the N x n states xhat(0..N-1)."""
-    yhat = w @ e.D0.T
-    if not e.n:
-        return yhat, np.zeros((w.shape[0], 0))
     X = _state_path(e.Atil, e.Ktil, w, x0)
-    return yhat + X @ e.Ctil.T, X
+    return w @ e.D0.T + X @ e.Ctil.T, X
 
 
 def joint_one_step_prediction(m: InnovationJointModel | TriangularJointModel,

@@ -13,6 +13,7 @@ from ffest import (
     InnovationJointModel,
     SimConfig,
     StateSpaceModel,
+    OptimizerConfig,
     Trajectory,
     assemble,
     filter_signal,
@@ -28,6 +29,7 @@ from ffest import (
 )
 from ffest.cli import _EXAMPLE_SYSTEM, _build_parser, main
 from ffest.simulation import _CSV_CHUNK_ROWS
+from ffest.sysid import BENCHMARK_OPT
 
 
 @pytest.fixture()
@@ -143,6 +145,19 @@ class TestSynthesize:
         defaults = inspect.signature(triangularize).parameters
         assert args.tol_fb == defaults["tol_fb"].default
         assert args.rank_tol == defaults["rank_tol"].default
+
+    def test_budget_defaults_are_the_library_defaults(self):
+        # identify searches with OptimizerConfig's defaults; benchmark and
+        # reproduce sysid with the budget sysid.benchmark defaults to
+        parser = _build_parser()
+        args = parser.parse_args(["identify", "traj.csv", "fit.json",
+                                  "--case", "pred_full", "--dims", "2,1,1,1,1"])
+        assert (OptimizerConfig(restarts=args.restarts, maxiter=args.maxiter,
+                                seed=args.seed) == OptimizerConfig())
+        for argv in (["benchmark"], ["reproduce", "sysid"]):
+            args = parser.parse_args(argv)
+            assert (OptimizerConfig(restarts=args.restarts,
+                                    maxiter=args.maxiter) == BENCHMARK_OPT)
 
     def test_triangular_input(self, tmp_path, example_triangular, capsys):
         # a triangular file is synthesized as given: no second projection

@@ -177,6 +177,19 @@ class TestFilterSignal:
         assert np.max(np.abs(y1[:30] - y2[:30])) <= 1e-10
         assert abs(y1[30, 0] - y2[30, 0]) > 1.0
 
+    def test_no_states_is_the_direct_term(self):
+        # with no states the prediction is w D0', bit for bit and signed
+        # zeros included, from zero and negative entries of w and D0
+        e = EstimatorModel(Atil=np.zeros((0, 0)), Ktil=np.zeros((0, 3)),
+                           Ctil=np.zeros((2, 0)),
+                           D0=[[0.0, -0.0, 0.0], [0.5, -1.0, 0.0]])
+        w = np.random.default_rng(68).standard_normal((40, 3))
+        w[::3] = -0.0
+        w[1::3] = -np.abs(w[1::3])
+        yhat = filter_signal(e, w)
+        assert yhat.shape == (40, 2)
+        assert yhat.tobytes() == (w @ e.D0.T).tobytes()
+
     def test_mse_near_schur_floor_simple_system(self):
         # on an exactly-triangular model the residual second moment
         # approaches C11 Sigma C11' + Schur(Q); for this system with

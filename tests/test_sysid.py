@@ -264,6 +264,28 @@ def fd_data():
                     SimConfig(N=150, seed=6))
 
 
+def stateless_par(case):
+    """``case`` on the benchmark system's w-dimensions with no states:
+    n = p1 = p2 = 0, so pred_partial's only free entries are Q12's and
+    gen_partial has none."""
+    fixed = {"A22": np.zeros((0, 0)), "K22": np.zeros((0, 2)),
+             "C22": np.zeros((2, 0)), "Q22": random_benchmark_system().Q22}
+    return build_parameterization(case, Dims(0, 0, 0, 3, 2), fixed=fixed)
+
+
+def count_objective_calls(monkeypatch):
+    """A list that gains one entry per call of sysid.objective."""
+    calls = []
+    objective = ffest.sysid.objective
+
+    def counting(*args):
+        calls.append(None)
+        return objective(*args)
+
+    monkeypatch.setattr(ffest.sysid, "objective", counting)
+    return calls
+
+
 def plain_objective(par, theta, data):
     est, penalty = par.estimator_for(theta)
     return mse(data.y, filter_signal(est, data.w)) + penalty
@@ -388,7 +410,26 @@ class TestObjectiveBatch:
         inf[0] = np.inf
         return good, np.vstack([good, inf, base + 1e307])
 
-    # the row base + 1e307 overflows on purpose, in synthesis and barrier
+    @staticmethod
+    def overflowing(par, theta):
+        """A pred_partial row at ``theta`` whose Ctil = [C11, C12 - D0 C22]
+        overflows while Atil stays finite: K11 = 0, Q12 at 1e300, and C12
+        at the largest float against D0 C22. A non-finite D0 would reach
+        Atil through K11 D0 (0 * inf is nan), and the other cases have no
+        such row: their D0 and Ctil are free entries or template blocks,
+        finite whenever theta is."""
+        at = dict(zip(par.free, np.split(np.arange(par.theta_dim),
+                                         par._cuts)))
+        row = theta.copy()
+        row[at["K11"]] = 0.0
+        row[at["Q12"]] = 1e300
+        b = par._blocks(row[None])
+        row[at["C12"]] = (-np.finfo(float).max
+                          * np.sign(par._d0(b) @ b.C22)).ravel()
+        return row
+
+    # the row base + 1e307 overflows on purpose, in synthesis and barrier,
+    # and so does the overflowing row
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("case", FD_CASES)
@@ -398,6 +439,21 @@ class TestObjectiveBatch:
         for rows in (good, every):
             values = ffest.sysid._objective_batch(par, rows, fd_data)
             assert values == [objective(par, theta, fd_data) for theta in rows]
+        if case == "pred_partial":
+            # a row with a non-finite Ctil reads +inf by the value rule, on
+            # the stacked path: no row is evaluated alone
+            over = self.overflowing(par, good[0])
+            b = par._blocks(over[None])
+            Atil, Ktil, Ctil = ffest.sysid._estimator_blocks(b, par._d0(b))
+            assert np.isfinite(Atil).all() and np.isfinite(Ktil).all()
+            assert not np.isfinite(Ctil).all()
+            rows = np.vstack([good, over])
+            expected = [objective(par, theta, fd_data) for theta in rows]
+            assert expected[-1] == np.inf
+            calls = count_objective_calls(monkeypatch)
+            assert ffest.sysid._objective_batch(par, rows, fd_data) == expected
+            assert not calls
+            monkeypatch.undo()
         assert par.estimator_for(good[1])[1] > 0.0
         assert objective(par, every[-2], fd_data) == np.inf
         if case == "pred_partial":
@@ -449,6 +505,44 @@ class TestObjectiveBatch:
         rows.insert(int(rng.integers(len(rows) + 1)), rows[0])
         values = ffest.sysid._objective_batch(par, np.array(rows), fd_data)
         assert values == [objective(par, theta, fd_data) for theta in rows]
+
+    @pytest.mark.parametrize("case", FD_CASES)
+    def test_stack_decomposition_failure(self, fd_data, case, monkeypatch):
+        # when the stacked eigendecomposition fails, every row is evaluated
+        # alone by objective, whose single decompositions still run
+        par = fd_par(case)
+        good, _ = self.thetas(par)
+        expected = [objective(par, theta, fd_data) for theta in good]
+        eig = np.linalg.eig
+
+        def failing(a):
+            if np.ndim(a) > 2 and len(a) > 1:
+                raise np.linalg.LinAlgError("stacked eig failed")
+            return eig(a)
+
+        monkeypatch.setattr(np.linalg, "eig", failing)
+        calls = count_objective_calls(monkeypatch)
+        assert ffest.sysid._objective_batch(par, good, fd_data) == expected
+        assert len(calls) == len(good)
+
+    def test_no_states(self, fd_data, monkeypatch):
+        # an estimator with no states: the batch runs N x 0 state paths
+        par = stateless_par("pred_partial")
+        assert par.theta_dim == 6
+        base = par.encode(par.template)
+        rng = np.random.default_rng(13)
+        rows = base + 0.1 * rng.standard_normal((3, par.theta_dim))
+        rows = np.vstack([rows, rows[0]])
+        expected = [objective(par, theta, fd_data) for theta in rows]
+        assert np.isfinite(expected).all()
+        calls = count_objective_calls(monkeypatch)
+        assert ffest.sysid._objective_batch(par, rows, fd_data) == expected
+        assert not calls
+
+    def test_no_rows(self, fd_data):
+        # a gradient over no free entries has no probes
+        par = table_par("pred_partial")
+        assert ffest.sysid._objective_batch(par, [], fd_data) == []
 
     @pytest.mark.parametrize("rows", [1, 3])
     def test_wrong_length_raises(self, fd_data, rows):
@@ -665,6 +759,20 @@ class TestIdentify:
                        opt=OptimizerConfig(restarts=0, maxiter=15))
         assert fit.restarts_used == 0
         assert len(starts) == 1 and np.array_equal(starts[0], theta0)
+
+    def test_no_free_entries(self, fd_data):
+        # the gradient has no probes, and the estimator no states: the fit
+        # is gen_partial's direct gain, regressed after the search
+        par = stateless_par("gen_partial")
+        assert par.theta_dim == 0
+        fit = identify(par, fd_data, opt=OptimizerConfig(restarts=1,
+                                                         maxiter=5))
+        assert isinstance(fit, ffest.sysid.FitResult)
+        assert fit.theta.shape == (0,)
+        assert fit.estimator.n == 0
+        assert np.any(fit.estimator.D0 != 0.0)
+        assert fit.training_mse == mse(fd_data.y,
+                                       fd_data.w @ fit.estimator.D0.T)
 
     def test_deterministic_given_seed(self):
         t = random_benchmark_system(n=2, p1=1, p2=1, p=1, q=1)
