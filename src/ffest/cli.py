@@ -177,8 +177,18 @@ def cmd_identify(args):
     return 0
 
 
-def cmd_benchmark(args):
+def _benchmark_sizes(args):
+    """The training sample sizes of a benchmark run, after checking them and
+    the repetition count."""
     Ns = args.N or [150, 1000]  # --N is repeatable, so argparse cannot default it
+    if args.M < 1 or min(Ns) < 1:
+        raise ValidationError(
+            f"--M and --N must be at least 1, got --M {args.M}, --N {Ns}")
+    return Ns
+
+
+def cmd_benchmark(args):
+    Ns = _benchmark_sizes(args)
     opt = OptimizerConfig(restarts=args.restarts, maxiter=args.maxiter)
     result = benchmark(random_benchmark_system(), Ns=tuple(Ns), M=args.M,
                        seed=args.seed, opt=opt, workers=args.workers)
@@ -287,6 +297,7 @@ def example_triangular_model() -> TriangularJointModel:
 
 
 def cmd_reproduce_sysid(args):
+    _benchmark_sizes(args)  # before the scalar fit, which takes a while
     print("scalar family: one free entry of the triangular transition "
           "matrix, fitted by prediction error")
     base = example_triangular_model()

@@ -388,11 +388,12 @@ def _objective_batch(par: Parameterization, thetas, data: Trajectory):
     The rows are decoded, synthesized, stabilized and eigendecomposed as
     one stack, and rows whose (Atil, Ktil) are equal bit for bit share one
     state path. The values are those of :func:`objective` bit for bit:
-    every stacked step gives each row the bits it gets alone; a non-finite
-    Ctil or D0, or a non-finite Ktil on a record of two or more samples,
-    makes its row's value non-finite, so +inf; and when any step fails, a
-    non-finite Atil included, each row is evaluated alone. :func:`identify`
-    maps this over each finite-difference gradient's probes.
+    every stacked step gives each row the bits it gets alone; a row whose
+    Ktil is not finite is +inf, as :func:`objective` rejects it when it
+    builds the predictor, while a non-finite Ctil or D0 makes its row's
+    value non-finite, so +inf; and when any step fails, a non-finite Atil
+    included, each row is evaluated alone. :func:`identify` maps this over
+    each finite-difference gradient's probes.
     """
     if not len(thetas):
         return []
@@ -407,12 +408,14 @@ def _objective_batch(par: Parameterization, thetas, data: Trajectory):
             groups.setdefault(key, []).append(i)
         first = [rows[0] for rows in groups.values()]
         paths = _state_paths(Atil[first], Ktil[first], data.w)
+        # on a one-sample record Ktil never reaches the states
+        finite_k = np.isfinite(Ktil).all(axis=(1, 2))
         values = [np.inf] * len(Atil)
         for rows, X in zip(groups.values(), paths):
             for i in rows:
                 yhat = data.w @ D0[i].T + X @ Ctil[i].T
                 value = mse(data.y, yhat) + penalty[i]
-                if np.isfinite(value):
+                if finite_k[i] and np.isfinite(value):
                     values[i] = float(value)
     except (FfestError, np.linalg.LinAlgError):
         return [objective(par, theta, data) for theta in thetas]
@@ -690,43 +693,45 @@ def _aggregate(rows, cases, Ns):
     return agg
 
 
-def _benchmark_cell(t_true, case, N, ni, rep, seed, opt, N_val):
-    """One (case, sample size, repetition) cell; self-contained so cells
-    can run in worker processes with identical results."""
-    joint = assemble(t_true)
-    dims = Dims(t_true.n, t_true.p1, t_true.p2, t_true.p, t_true.q)
-    try:
-        val = simulate(
-            joint, SimConfig(N=N_val, seed=seed),
-            rng=trajectory_rng(seed, index=(ni, rep, 1)),
-        )
-        if case == "case0":
-            est = synthesize(t_true)
-            training = None
-        else:
-            train = simulate(
-                joint, SimConfig(N=N, seed=seed),
-                rng=trajectory_rng(seed, index=(ni, rep, 0)),
-            )
-            par = build_parameterization(case, dims,
-                                         fixed=known_blocks(case, t_true))
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                fit = identify(par, train, opt=opt)
-            est = fit.estimator
-            training = fit.training_mse
-        yhat = filter_signal(est, val.w)
-        return CellResult(
-            case=case, N=N, rep=rep, training_mse=training,
-            validation_mse=mse(val.y, yhat),
-            vaf=vaf_components(val.y, yhat),
-        )
-    except (FfestError, np.linalg.LinAlgError) as exc:
-        return CellResult(
-            case=case, N=N, rep=rep, training_mse=None,
-            validation_mse=np.nan, vaf=np.full(dims.p, np.nan),
-            error=str(exc),
-        )
+def _benchmark_repetition(system, pars, N, ni, rep, seed, opt, N_val):
+    """The rows of one (sample size, repetition): case0's, then one per
+    parameterization in ``pars``. Each record is simulated once, on first
+    use, and shared by the cases; one that fails to simulate is the error
+    of each case that needs it. Self-contained, so repetitions run in
+    worker processes unchanged."""
+    joint = assemble(system)
+    records = {}  # stream index (1 validation, 0 training): record or error
+
+    def record(index, size):
+        if index not in records:
+            try:
+                records[index] = simulate(
+                    joint, SimConfig(N=size, seed=seed),
+                    rng=trajectory_rng(seed, index=(ni, rep, index)))
+            except (FfestError, np.linalg.LinAlgError) as exc:
+                records[index] = exc
+        if isinstance(records[index], Exception):
+            raise records[index]
+        return records[index]
+
+    rows = []
+    for case in ("case0", *pars):
+        try:
+            val = record(1, N_val)
+            if case == "case0":
+                est, training = synthesize(system), None
+            else:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    fit = identify(pars[case], record(0, N), opt=opt)
+                est, training = fit.estimator, fit.training_mse
+            yhat = filter_signal(est, val.w)
+            rows.append(CellResult(case, N, rep, training, mse(val.y, yhat),
+                                   vaf_components(val.y, yhat)))
+        except (FfestError, np.linalg.LinAlgError) as exc:
+            rows.append(CellResult(case, N, rep, None, np.nan,
+                                   np.full(system.p, np.nan), str(exc)))
+    return rows
 
 
 def benchmark(system: TriangularJointModel, cases=CASES, Ns=(150, 1000),
@@ -734,26 +739,20 @@ def benchmark(system: TriangularJointModel, cases=CASES, Ns=(150, 1000),
               workers=1) -> BenchmarkResult:
     """Identify every case on M independent trainings per sample size.
 
-    Per repetition one training and one held-out validation trajectory are
-    simulated with per-cell derived seeds; Case 0 (the true optimal
-    estimator, no training phase) is always evaluated on the same
-    validation data. ``workers`` > 1 distributes cells over processes;
-    results are invariant to the worker count.
+    Each repetition draws one training and one held-out validation
+    trajectory, from seeds derived from (sample size, repetition), and
+    fits and scores every case on them, so the cases' rows are paired;
+    Case 0 (the true optimal estimator, no training phase) is scored on
+    the same validation data. ``workers`` > 1 distributes repetitions over
+    processes; results are invariant to the worker count.
     """
     dims = Dims(system.n, system.p1, system.p2, system.p, system.q)
     opt = opt or BENCHMARK_OPT
-
-    theta_dims = {"case0": 0}
-    for case in cases:
-        theta_dims[case] = build_parameterization(
-            case, dims, fixed=known_blocks(case, system)).theta_dim
-    all_cases = ["case0"] + list(cases)
-    tasks = [
-        (system, case, N, ni, rep, seed, opt, N_val)
-        for ni, N in enumerate(Ns)
-        for rep in range(M)
-        for case in all_cases
-    ]
+    pars = {case: build_parameterization(case, dims,
+                                         fixed=known_blocks(case, system))
+            for case in cases}
+    tasks = [(system, pars, N, ni, rep, seed, opt, N_val)
+             for ni, N in enumerate(Ns) for rep in range(M)]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -762,57 +761,58 @@ def benchmark(system: TriangularJointModel, cases=CASES, Ns=(150, 1000),
         import scipy.optimize  # noqa: F401
         _linear_filter()
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_benchmark_cell, *zip(*tasks), chunksize=1))
+            reps = list(pool.map(_benchmark_repetition, *zip(*tasks),
+                                 chunksize=1))
     else:
-        rows = [_benchmark_cell(*task) for task in tasks]
-    agg = _aggregate(rows, all_cases, list(Ns))
+        reps = [_benchmark_repetition(*task) for task in tasks]
+    rows = [row for rep_rows in reps for row in rep_rows]
+    all_cases = ["case0", *cases]
     return BenchmarkResult(
         system=system, cases=all_cases, Ns=list(Ns), M=M, seed=seed,
-        rows=rows, aggregate=agg, theta_dims=theta_dims,
+        rows=rows, aggregate=_aggregate(rows, all_cases, list(Ns)),
+        theta_dims={"case0": 0} | {c: par.theta_dim
+                                   for c, par in pars.items()},
     )
 
 
-def _fmt(v):
-    """One CSV cell: empty for a missing value."""
-    return "" if v is None else f"{v:.12g}"
+def _write_benchmark_csv(path, lines):
+    """Write ``lines`` of cells as CSV: a string as it is, an int plainly,
+    a float with 12 significant digits, None as an empty cell."""
+    def cell(v):
+        if v is None or isinstance(v, str):
+            return v or ""
+        return str(v) if isinstance(v, int) else f"{v:.12g}"
+
+    with open(path, "w") as fh:
+        fh.writelines(",".join(map(cell, line)) + "\n" for line in lines)
 
 
 def write_benchmark_rows_csv(result: BenchmarkResult, path):
-    p = result.system.p
-    with open(path, "w") as fh:
-        vaf_cols = ",".join(f"vaf{i+1}" for i in range(p))
-        fh.write(f"case,N,rep,training_mse,validation_mse,{vaf_cols},error\n")
-        for r in result.rows:
-            cells = (r.training_mse, r.validation_mse, *r.vaf)
-            fh.write(f"{r.case},{r.N},{r.rep},"
-                     + ",".join(map(_fmt, cells)) + f",{r.error or ''}\n")
+    """One row per (case, sample size, repetition)."""
+    vaf = [f"vaf{i+1}" for i in range(result.system.p)]
+    _write_benchmark_csv(path, [
+        ["case", "N", "rep", "training_mse", "validation_mse", *vaf, "error"],
+        *([r.case, r.N, r.rep, r.training_mse, r.validation_mse, *r.vaf,
+           r.error] for r in result.rows)])
 
 
 def write_benchmark_table_csv(result: BenchmarkResult, path):
     """Summary layout: one statistic per row, one case per column."""
     cases = result.cases
-    p = result.system.p
-    with open(path, "w") as fh:
-        fh.write("N,statistic," + ",".join(cases) + "\n")
-        fh.write(",total_parameters,"
-                 + ",".join(_fmt(result.theta_dims[c]) for c in cases) + "\n")
-        stats = (["training_mse", "validation_mse"]
-                 + [f"vaf{i+1}" for i in range(p)] + ["mean_vaf"])
-        for N in result.Ns:
-            for stat in stats:
-                cells = [(result.aggregate.get((c, N)) or {}).get(stat)
-                         for c in cases]
-                fh.write(f"{N},{stat}," + ",".join(map(_fmt, cells)) + "\n")
+    stats = ["training_mse", "validation_mse",
+             *(f"vaf{i+1}" for i in range(result.system.p)), "mean_vaf"]
+    _write_benchmark_csv(path, [
+        ["N", "statistic", *cases],
+        ["", "total_parameters", *(result.theta_dims[c] for c in cases)],
+        *([N, stat, *((result.aggregate.get((c, N)) or {}).get(stat)
+                      for c in cases)]
+          for N in result.Ns for stat in stats)])
 
 
 def write_benchmark_curve_csv(result: BenchmarkResult, path):
     """Per-N average training/validation MSE per case (curve data)."""
-    with open(path, "w") as fh:
-        fh.write("case,N,avg_training_mse,avg_validation_mse\n")
-        for c in result.cases:
-            for N in result.Ns:
-                a = result.aggregate.get((c, N))
-                if a is None:
-                    continue
-                fh.write(f"{c},{N},{_fmt(a['training_mse'])},"
-                         f"{_fmt(a['validation_mse'])}\n")
+    _write_benchmark_csv(path, [
+        ["case", "N", "avg_training_mse", "avg_validation_mse"],
+        *([c, N, a["training_mse"], a["validation_mse"]]
+          for c in result.cases for N in result.Ns
+          if (a := result.aggregate.get((c, N))) is not None)])

@@ -10,6 +10,7 @@ import pytest
 
 from ffest import (
     EstimatorModel,
+    IdentificationError,
     InnovationJointModel,
     SimConfig,
     StateSpaceModel,
@@ -29,7 +30,7 @@ from ffest import (
 )
 from ffest.cli import _EXAMPLE_SYSTEM, _build_parser, main
 from ffest.simulation import _CSV_CHUNK_ROWS
-from ffest.sysid import BENCHMARK_OPT
+from ffest.sysid import BENCHMARK_OPT, CASES
 
 
 @pytest.fixture()
@@ -360,6 +361,33 @@ class TestBenchmarkCommand:
             assert (tmp_path / f"tiny_{suffix}.csv").exists()
         out = capsys.readouterr().out
         assert "case0" in out
+
+    @pytest.mark.parametrize("command", [["benchmark"], ["reproduce", "sysid"]])
+    @pytest.mark.parametrize("bad", [["--M", "0"], ["--N", "0"],
+                                     ["--N", "60", "--N", "-5"]])
+    def test_non_positive_sizes_exit_2(self, tmp_path, capsys, command, bad):
+        assert main([*command, *bad, "--out-dir", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        payload = json.loads(captured.err)
+        assert payload["error"] == "ValidationError"
+        assert not list(tmp_path.iterdir())
+
+    def test_failed_cells_are_reported(self, tmp_path, capsys, monkeypatch):
+        # every fit fails: the identified cases have no successful rows
+        def failing(*args, **kwargs):
+            raise IdentificationError("stub: all optimizer starts diverged")
+
+        monkeypatch.setattr("ffest.sysid.identify", failing)
+        assert main(["benchmark", "--M", "1", "--N", "60",
+                     "--out-dir", str(tmp_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        for case in CASES:
+            assert f"{case:>16} N=60    no successful repetitions" in lines
+        assert sum("no successful repetitions" in ln for ln in lines) == 4
+        rows = (tmp_path / "benchmark_rows.csv").read_text().splitlines()
+        assert all(ln.endswith(",stub: all optimizer starts diverged")
+                   for ln in rows[2:])
 
 
 class TestReproduce:

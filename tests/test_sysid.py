@@ -13,6 +13,7 @@ from ffest import (
     OptimizerConfig,
     SimConfig,
     SingleEntryParameterization,
+    Trajectory,
     assemble,
     benchmark,
     build_parameterization,
@@ -264,13 +265,13 @@ def fd_data():
                     SimConfig(N=150, seed=6))
 
 
-def stateless_par(case):
-    """``case`` on the benchmark system's w-dimensions with no states:
-    n = p1 = p2 = 0, so pred_partial's only free entries are Q12's and
-    gen_partial has none."""
+def stateless_par(case, p1=0):
+    """``case`` on the benchmark system's w-dimensions with no w-subsystem
+    states (p2 = 0) and ``p1`` others; with p1 = 0 pred_partial's only free
+    entries are Q12's and gen_partial has none."""
     fixed = {"A22": np.zeros((0, 0)), "K22": np.zeros((0, 2)),
              "C22": np.zeros((2, 0)), "Q22": random_benchmark_system().Q22}
-    return build_parameterization(case, Dims(0, 0, 0, 3, 2), fixed=fixed)
+    return build_parameterization(case, Dims(p1, p1, 0, 3, 2), fixed=fixed)
 
 
 def count_objective_calls(monkeypatch):
@@ -539,6 +540,24 @@ class TestObjectiveBatch:
         assert ffest.sysid._objective_batch(par, rows, fd_data) == expected
         assert not calls
 
+    # K11 D0 overflows on purpose
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_non_finite_ktil_on_one_sample(self, fd_data):
+        # with p2 = 0, Ktil = K12 + K11 D0 overflows while Atil = A11 stays
+        # finite; on one sample the states never see Ktil, and objective
+        # rejects it when it builds the predictor
+        par = stateless_par("pred_partial", p1=2)
+        model = replace(par.template, A11=0.1 * np.eye(2),
+                        K11=np.full((2, 3), 1e307),
+                        Q12=np.full((3, 2), 100.0), C11=np.ones((3, 2)))
+        theta = par.encode(model)
+        one = Trajectory(y=fd_data.y[:1], w=fd_data.w[:1])
+        b = par._blocks(theta[None])
+        Atil, Ktil, _ = ffest.sysid._estimator_blocks(b, par._d0(b))
+        assert np.isfinite(Atil).all() and not np.isfinite(Ktil).all()
+        assert objective(par, theta, one) == np.inf
+        assert ffest.sysid._objective_batch(par, theta[None], one) == [np.inf]
+
     def test_no_rows(self, fd_data):
         # a gradient over no free entries has no probes
         par = table_par("pred_partial")
@@ -643,6 +662,33 @@ class TestGradient:
         par = SingleEntryParameterization(random_benchmark_system(),
                                           block=block, index=index)
         self.check(par, [value], data, region)
+
+    # the scaled Ctil overflows the predictions on purpose
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_failures_are_inf_and_zero(self, data, monkeypatch):
+        # (+inf, 0) where objective is +inf: a decodable theta whose MSE is
+        # not finite, and a theta that does not decode
+        par = build_parameterization("pred_full", TABLE_DIMS)
+        est = synthesize(random_benchmark_system())
+        overflowing = par.encode(replace(est, Ctil=1e200 * est.Ctil))
+        assert par.estimator_for(overflowing)[1] == 0.0
+        nan = np.full(par.theta_dim, np.nan)
+        with pytest.raises(ValidationError):
+            par.decode(nan)
+        for theta in (overflowing, nan):
+            assert objective(par, theta, data) == np.inf
+            value, grad = objective_and_gradient(par, theta, data)
+            assert value == np.inf and np.array_equal(
+                grad, np.zeros(par.theta_dim))
+        # a non-finite gradient at a finite value, stubbed: no theta is
+        # known to give one
+        theta = par.encode(est)
+        assert np.isfinite(objective(par, theta, data))
+        monkeypatch.setattr(par, "encode", lambda g: np.full(par.theta_dim,
+                                                             np.nan))
+        value, grad = objective_and_gradient(par, theta, data)
+        assert value == np.inf and np.array_equal(grad,
+                                                  np.zeros(par.theta_dim))
 
 
 class TestPartialSaddle:
@@ -759,6 +805,26 @@ class TestIdentify:
                        opt=OptimizerConfig(restarts=0, maxiter=15))
         assert fit.restarts_used == 0
         assert len(starts) == 1 and np.array_equal(starts[0], theta0)
+
+    def test_diverged_starts_are_reported(self, monkeypatch):
+        # a search that ends at a non-finite value is no fit
+        import scipy.optimize
+
+        t = random_benchmark_system(n=2, p1=1, p2=1, p=1, q=1)
+        par = build_parameterization("pred_full", Dims(2, 1, 1, 1, 1))
+        traj = simulate(assemble(t), SimConfig(N=300, seed=4))
+
+        def diverging(fun, x0, **kw):
+            return scipy.optimize.OptimizeResult(
+                x=x0, fun=np.inf, nit=3, nfev=4, success=False,
+                message="stub")
+
+        monkeypatch.setattr(scipy.optimize, "minimize", diverging)
+        with pytest.raises(IdentificationError) as info:
+            identify(par, traj, theta0=par.encode(synthesize(t)),
+                     opt=OptimizerConfig(restarts=1, maxiter=5))
+        assert info.value.diagnostics == ["start 0: diverged (stub)",
+                                          "start 1: diverged (stub)"]
 
     def test_no_free_entries(self, fd_data):
         # the gradient has no probes, and the estimator no states: the fit
@@ -958,6 +1024,54 @@ class TestBenchmark:
             assert np.isnan(row.validation_mse)
         assert result.aggregate == {("case0", 80): None,
                                     ("pred_partial", 80): None}
+
+    @staticmethod
+    def count_simulations(monkeypatch, fail_size=None):
+        """A list that gains the sample count of each record the benchmark
+        simulates; a record of ``fail_size`` samples fails."""
+        sizes = []
+        simulate = ffest.sysid.simulate
+
+        def counting(model, cfg, rng):
+            sizes.append(cfg.N)
+            if cfg.N == fail_size:
+                raise ValidationError("stub training failure")
+            return simulate(model, cfg, rng=rng)
+
+        monkeypatch.setattr(ffest.sysid, "simulate", counting)
+        return sizes
+
+    def test_records_simulated_once(self, small_result, monkeypatch):
+        # each repetition draws its validation record, then its training
+        # record, once each, and every case is scored on them
+        sizes = self.count_simulations(monkeypatch)
+        system = random_benchmark_system(n=2, p1=1, p2=1, p=1, q=1)
+        result = benchmark(system, cases=("pred_partial", "gen_partial"),
+                           Ns=(80,), M=2, seed=0,
+                           opt=OptimizerConfig(restarts=0, maxiter=5),
+                           N_val=200)
+        assert sizes == [200, 80] * 2
+        # the same records as one case alone
+        paired = [r for r in result.rows if r.case != "gen_partial"]
+        assert [(r.case, r.rep, r.training_mse, r.validation_mse)
+                for r in paired] == [
+            (r.case, r.rep, r.training_mse, r.validation_mse)
+            for r in small_result.rows]
+
+    def test_unsimulable_training_is_a_row_error(self, monkeypatch):
+        # case0 needs no training record; the fitted cases share the error
+        # of the one attempt
+        sizes = self.count_simulations(monkeypatch, fail_size=80)
+        system = random_benchmark_system(n=2, p1=1, p2=1, p=1, q=1)
+        result = benchmark(system, cases=("pred_partial", "gen_partial"),
+                           Ns=(80,), M=1, N_val=200)
+        assert sizes == [200, 80]
+        assert [r.case for r in result.rows] == ["case0", "pred_partial",
+                                                 "gen_partial"]
+        assert result.rows[0].error is None
+        for row in result.rows[1:]:
+            assert row.error == "stub training failure"
+            assert np.isnan(row.validation_mse)
 
     def test_worker_count_invariant(self):
         system = random_benchmark_system()
