@@ -132,8 +132,7 @@ def cmd_filter(args):
     est = _load(args.estimator, EstimatorModel)
     traj = load_trajectory(args.trajectory)
     yhat = filter_signal(est, traj.w)
-    _write_csv(args.output, ",".join(f"yhat{i+1}" for i in range(est.p)),
-               yhat, ",".join(["%.17g"] * est.p))
+    _write_csv(args.output, [f"yhat{i+1}" for i in range(est.p)], yhat)
     err = mse(traj.y, yhat)
     vaf = vaf_components(traj.y, yhat)
     print(f"MSE = {err:.6f}")
@@ -177,19 +176,19 @@ def cmd_identify(args):
     return 0
 
 
-def _benchmark_sizes(args):
-    """The training sample sizes of a benchmark run, after checking them and
-    the repetition count."""
+def _benchmark_args(args):
+    """The training sample sizes and the search budget of a benchmark run,
+    after checking every count option."""
     Ns = args.N or [150, 1000]  # --N is repeatable, so argparse cannot default it
-    if args.M < 1 or min(Ns) < 1:
+    if args.M < 1 or min(Ns) < 1 or args.workers < 1:
         raise ValidationError(
-            f"--M and --N must be at least 1, got --M {args.M}, --N {Ns}")
-    return Ns
+            f"--M, --N and --workers must be at least 1, got --M {args.M}, "
+            f"--N {Ns}, --workers {args.workers}")
+    return Ns, OptimizerConfig(restarts=args.restarts, maxiter=args.maxiter)
 
 
 def cmd_benchmark(args):
-    Ns = _benchmark_sizes(args)
-    opt = OptimizerConfig(restarts=args.restarts, maxiter=args.maxiter)
+    Ns, opt = _benchmark_args(args)
     result = benchmark(random_benchmark_system(), Ns=tuple(Ns), M=args.M,
                        seed=args.seed, opt=opt, workers=args.workers)
     paths = {
@@ -297,7 +296,7 @@ def example_triangular_model() -> TriangularJointModel:
 
 
 def cmd_reproduce_sysid(args):
-    _benchmark_sizes(args)  # before the scalar fit, which takes a while
+    _benchmark_args(args)  # before the scalar fit, which takes a while
     print("scalar family: one free entry of the triangular transition "
           "matrix, fitted by prediction error")
     base = example_triangular_model()

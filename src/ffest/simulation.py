@@ -268,8 +268,7 @@ def save_trajectory(traj: Trajectory, path):
                                  for b in blocks))
     data = np.column_stack([np.arange(traj.N),
                             *(b for b in blocks if b is not None)])
-    _write_csv(path, ",".join(cols), data,
-               ",".join(["%d"] + ["%.17g"] * (len(cols) - 1)))
+    _write_csv(path, cols, data)
 
 
 # rows formatted per write: bounded, so the strings of one chunk stay small
@@ -277,14 +276,16 @@ def save_trajectory(traj: Trajectory, path):
 _CSV_CHUNK_ROWS = 256
 
 
-def _write_csv(path, header, data, fmt):
-    """Write a header line and one ``fmt % row`` line per row of ``data``:
-    the bytes of ``np.savetxt(path, data, fmt=<fmt split at ",">,
-    delimiter=",", header=header, comments="")``. Rows are formatted from
-    ``tolist()`` in chunks of ``_CSV_CHUNK_ROWS``, not as numpy scalars."""
-    line = fmt + "\n"
+def _write_csv(path, columns, data):
+    """Write a header line of ``columns`` and one line per row of ``data``,
+    every value with ``%.17g`` (an integral value, such as t, prints as an
+    integer): the bytes of ``np.savetxt(path, data, fmt="%.17g",
+    delimiter=",", header=",".join(columns), comments="")``. Rows are
+    formatted from ``tolist()`` in chunks of ``_CSV_CHUNK_ROWS``, not as
+    numpy scalars."""
+    line = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w") as fh:
-        fh.write(header + "\n")
+        fh.write(",".join(columns) + "\n")
         for i in range(0, len(data), _CSV_CHUNK_ROWS):
             fh.write("".join(line % tuple(row) for row in
                              data[i:i + _CSV_CHUNK_ROWS].tolist()))

@@ -57,6 +57,7 @@ from .models import (
     Trajectory,
     TriangularJointModel,
     _matrix_names,
+    _split,
     _upper,
     assemble,
 )
@@ -83,7 +84,14 @@ __all__ = [
     "write_benchmark_curve_csv",
 ]
 
-CASES = ("pred_full", "gen_full", "pred_partial", "gen_partial")
+# each case and the blocks it takes from the true model (see known_blocks)
+_KNOWN_BLOCKS = {
+    "pred_full": (),
+    "gen_full": ("C",),
+    "pred_partial": ("A22", "K22", "C22", "Q22"),
+    "gen_partial": ("A22", "K22", "C22", "Q22"),
+}
+CASES = tuple(_KNOWN_BLOCKS)
 
 # Cases whose search uses objective_and_gradient. The partial and
 # single-entry cases keep scipy's finite differences: with exact gradients
@@ -114,6 +122,12 @@ class OptimizerConfig:
     restarts: int = 5
     maxiter: int = 2000
     seed: int = 0
+
+    def __post_init__(self):
+        if self.restarts < 0 or self.maxiter < 1:
+            raise ValidationError(
+                f"restarts must be at least 0 and maxiter at least 1, got "
+                f"restarts {self.restarts}, maxiter {self.maxiter}")
 
 
 def _barrier(rho):
@@ -293,73 +307,59 @@ def _check_case(case):
         raise ValueError(f"unknown case {case!r}; expected one of {CASES}")
 
 
-def _fixed_blocks(case, fixed, shapes):
-    """The known blocks ``shapes`` names, taken from ``fixed`` and checked
-    against their exact shapes, so that a wrong block raises a ValueError
-    naming it, like the other argument checks."""
-    missing = [k for k in shapes if fixed is None or k not in fixed]
-    if missing:
-        raise ValueError(f"{case} is missing fixed blocks {missing}")
-    blocks = {}
-    for k, shape in shapes.items():
-        blocks[k] = np.asarray(fixed[k], dtype=float)
-        if blocks[k].shape != shape:
-            raise ValueError(
-                f"fixed {k} must be {shape}, got {blocks[k].shape}")
-    return blocks
-
-
 def known_blocks(case, truth: TriangularJointModel):
     """The blocks of the true triangular model that ``case`` holds fixed:
     C for gen_full, the w-subsystem (A22, K22, C22, Q22) for the partial
     cases, none for pred_full."""
     _check_case(case)
-    names = {"pred_full": (), "gen_full": ("C",)}.get(
-        case, ("A22", "K22", "C22", "Q22"))
-    return {k: getattr(truth, k) for k in names}
+    return {k: getattr(truth, k) for k in _KNOWN_BLOCKS[case]}
 
 
 def build_parameterization(case, dims, fixed=None):
     """Parameterization for one of the four identification cases.
 
     ``fixed`` supplies the known blocks, as :func:`known_blocks` returns
-    them.
+    them; each must have the shape the template declares for it.
     """
     dims = Dims(*dims)
     n, p1, p2, p, q = dims
     if p1 + p2 != n:
         raise ValueError(f"p1 + p2 must equal n, got {dims}")
     _check_case(case)
+    names = _KNOWN_BLOCKS[case]
+    missing = [k for k in names if fixed is None or k not in fixed]
+    if missing:
+        raise ValueError(f"{case} is missing fixed blocks {missing}")
     dead = None
     if case == "pred_full":
         template = EstimatorModel(Atil=np.zeros((n, n)), Ktil=np.zeros((n, q)),
                                   Ctil=np.zeros((p, n)), D0=np.zeros((p, q)))
         free = ("Atil", "Ktil", "Ctil", "D0")
-    elif case == "gen_full":
-        known = _fixed_blocks(case, fixed, {"C": (p + q, n)})
-        template = InnovationJointModel(A=np.zeros((n, n)),
-                                        K=np.zeros((n, p + q)),
-                                        Q=np.eye(p + q), p=p, q=q, **known)
-        free = ("A", "K")
-        # the y-innovation columns of K become K11 (or the dropped lower
-        # left block), which synthesize multiplies by D0 = 0
-        dead = {"K": np.broadcast_to(np.arange(p + q) < p, (n, p + q))}
-    else:  # pred_partial, gen_partial
-        known = _fixed_blocks(case, fixed, {
-            "A22": (p2, p2), "K22": (p2, q), "C22": (q, p2), "Q22": (q, q)})
-        template = TriangularJointModel(
-            A11=np.zeros((p1, p1)), A12=np.zeros((p1, p2)),
-            K11=np.zeros((p1, p)), K12=np.zeros((p1, q)),
-            C11=np.zeros((p, p1)), C12=np.zeros((p, p2)),
-            Q11=np.eye(p), Q12=np.zeros((p, q)), T=np.eye(n),
-            p1=p1, p2=p2, p=p, q=q, **known,
-        )
-        free = ("A11", "A12", "K11", "K12", "C11", "C12")
-        if case == "pred_partial":
-            free += ("Q12",)
-        else:
-            # synthesize uses K12 + K11 D0, and the search has D0 = 0
-            dead = {"K11": np.ones((p1, p), dtype=bool)}
+    else:
+        joint = InnovationJointModel(
+            A=np.zeros((n, n)), K=np.zeros((n, p + q)), C=np.zeros((p + q, n)),
+            Q=np.eye(p + q), p=p, q=q)
+        if case == "gen_full":
+            template, free = joint, ("A", "K")
+            # the y-innovation columns of K become K11 (or the dropped lower
+            # left block), which synthesize multiplies by D0 = 0
+            dead = {"K": np.broadcast_to(np.arange(p + q) < p, joint.K.shape)}
+        else:  # pred_partial, gen_partial
+            template = _split(joint.A, joint.K, joint.C, joint.Q, p1, p,
+                              np.eye(n))
+            free = ("A11", "A12", "K11", "K12", "C11", "C12")
+            if case == "pred_partial":
+                free += ("Q12",)
+            else:
+                # synthesize uses K12 + K11 D0, and the search has D0 = 0
+                dead = {"K11": np.ones(template.K11.shape, dtype=bool)}
+    shapes = template._shapes()
+    known = {k: np.asarray(fixed[k], dtype=float) for k in names}
+    for k, block in known.items():
+        if block.shape != shapes[k]:
+            raise ValueError(
+                f"fixed {k} must be {shapes[k]}, got {block.shape}")
+    template = replace(template, **known)
     masks = {name: np.ones(getattr(template, name).shape, dtype=bool)
              for name in free}
     return Parameterization(case, dims, template, masks, dead)
@@ -744,8 +744,11 @@ def benchmark(system: TriangularJointModel, cases=CASES, Ns=(150, 1000),
     fits and scores every case on them, so the cases' rows are paired;
     Case 0 (the true optimal estimator, no training phase) is scored on
     the same validation data. ``workers`` > 1 distributes repetitions over
-    processes; results are invariant to the worker count.
+    up to that many processes, never more than there are repetitions;
+    results are invariant to the worker count.
     """
+    if workers < 1:
+        raise ValidationError(f"workers must be at least 1, got {workers}")
     dims = Dims(system.n, system.p1, system.p2, system.p, system.q)
     opt = opt or BENCHMARK_OPT
     pars = {case: build_parameterization(case, dims,
@@ -753,6 +756,8 @@ def benchmark(system: TriangularJointModel, cases=CASES, Ns=(150, 1000),
             for case in cases}
     tasks = [(system, pars, N, ni, rep, seed, opt, N_val)
              for ni, N in enumerate(Ns) for rep in range(M)]
+    # a pool starts all its processes at once: no more than there are tasks
+    workers = min(workers, len(tasks))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 

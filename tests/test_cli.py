@@ -28,6 +28,7 @@ from ffest import (
     synthesize,
     triangularize,
 )
+import ffest.cli
 from ffest.cli import _EXAMPLE_SYSTEM, _build_parser, main
 from ffest.simulation import _CSV_CHUNK_ROWS
 from ffest.sysid import BENCHMARK_OPT, CASES
@@ -330,6 +331,23 @@ class TestIdentify:
         assert payload["diagnostics"] == [
             f"start {i}: objective not finite at x0" for i in range(3)]
 
+    @pytest.mark.parametrize("bad", [["--restarts", "-1"],
+                                     ["--maxiter", "0"]])
+    def test_bad_counts_exit_2(self, tmp_path, innovation_json, capsys, bad):
+        traj, out = tmp_path / "traj.csv", tmp_path / "fit.json"
+        assert main(["simulate", str(innovation_json), str(traj),
+                     "--n", "50", "--seed", "1"]) == 0
+        capsys.readouterr()
+        assert main(["identify", str(traj), str(out), "--case", "pred_full",
+                     "--dims", "2,1,1,1,1", *bad]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        payload = json.loads(captured.err)
+        assert payload["error"] == "ValidationError"
+        assert "restarts must be at least 0 and maxiter at least 1" in (
+            payload["message"])
+        assert not out.exists()
+
     def test_bad_dims_exit_2(self, tmp_path, innovation_json, capsys):
         traj = tmp_path / "traj.csv"
         assert main(["simulate", str(innovation_json), str(traj),
@@ -364,7 +382,15 @@ class TestBenchmarkCommand:
 
     @pytest.mark.parametrize("command", [["benchmark"], ["reproduce", "sysid"]])
     @pytest.mark.parametrize("bad", [["--M", "0"], ["--N", "0"],
-                                     ["--N", "60", "--N", "-5"]])
+                                     ["--N", "60", "--N", "-5"],
+                                     # one tiny repetition, so that a run
+                                     # that ignores the count ends soon
+                                     ["--M", "1", "--N", "20",
+                                      "--restarts", "-1"],
+                                     ["--M", "1", "--N", "20",
+                                      "--maxiter", "0"],
+                                     ["--M", "1", "--N", "20",
+                                      "--workers", "0"]])
     def test_non_positive_sizes_exit_2(self, tmp_path, capsys, command, bad):
         assert main([*command, *bad, "--out-dir", str(tmp_path)]) == 2
         captured = capsys.readouterr()
@@ -406,6 +432,15 @@ class TestReproduce:
         out = capsys.readouterr().out
         assert "MISMATCH" not in out
         assert "all golden values reproduced" in out
+
+    def test_sec5_golden_mismatch_exits_1(self, capsys, monkeypatch):
+        golden = dict(ffest.cli._GOLDEN_ESTIMATOR, D0=[[2.0]])
+        monkeypatch.setattr(ffest.cli, "_GOLDEN_ESTIMATOR", golden)
+        assert main(["reproduce", "sec5"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "GOLDEN VALUE MISMATCH"
+        assert lines[-2].startswith("  max |diff| vs reference estimator: ")
+        assert lines[-2].endswith(" (MISMATCH)")
 
     def test_sec5_feedback_check_and_reference_signs(self, capsys):
         assert main(["reproduce", "sec5"]) == 0

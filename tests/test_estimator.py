@@ -130,6 +130,11 @@ class TestFilterSignal:
         yhat = filter_signal(example_estimator, np.zeros((10, 1)))
         assert np.allclose(yhat, 0.0)
 
+    def test_wrong_input_width_rejected(self, example_estimator):
+        with pytest.raises(ValueError, match=r"^w has 2 columns, estimator "
+                           r"expects 1$"):
+            filter_signal(example_estimator, np.zeros((10, 2)))
+
     def test_single_step_direct_term(self, example_estimator):
         w = np.array([[2.0]])
         yhat = filter_signal(example_estimator, w)
@@ -222,6 +227,20 @@ class TestStateLoop:
             ref[t] = v
             v = A @ v + B @ u[t]
         assert np.array_equal(_state_loop(A, B, u, x0), ref)
+
+    def test_lone_path_whose_decomposition_fails(self, monkeypatch):
+        # no finite matrix makes eig fail, so a stub does; a lone path then
+        # runs the plain loop instead of raising
+        rng = np.random.default_rng(7)
+        A, B = 0.3 * np.eye(3), rng.standard_normal((3, 2))
+        u = rng.standard_normal((50, 2))
+
+        def failing(a):
+            raise np.linalg.LinAlgError("stub: eig failed")
+
+        monkeypatch.setattr(np.linalg, "eig", failing)
+        assert np.array_equal(ffest.estimator._state_path(A, B, u),
+                              _state_loop(A, B, u))
 
 
 # the modes of one path: eig gives a float array when all are real

@@ -25,6 +25,7 @@ from ffest import (
 )
 from ffest.cli import _GOLDEN_CHAIN
 from ffest.errors import (
+    ConvergenceError,
     IndefiniteCovarianceError,
     SolverError,
     StabilityError,
@@ -128,6 +129,11 @@ class TestSvd:
             i = int(np.argmax(np.abs(r.V[:, j])))
             assert r.V[i, j] > 0
 
+    def test_non_finite_input_is_convergence_error(self):
+        with pytest.raises(ConvergenceError,
+                           match=r"^SVD did not converge for a 2x3 matrix$"):
+            svd(np.full((2, 3), np.nan))
+
     def test_repeat_calls_bit_identical(self):
         M = np.random.default_rng(6).standard_normal((4, 4))
         r1, r2 = svd(M), svd(M)
@@ -146,6 +152,11 @@ class TestSpectralRadius:
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
             spectral_radius(np.zeros((2, 3)))
+
+    def test_non_finite_input_is_convergence_error(self):
+        with pytest.raises(ConvergenceError, match=r"^eigenvalue iteration "
+                           r"failed for a 2x2 matrix$"):
+            spectral_radius(np.full((2, 2), np.nan))
 
 
 class TestLyapunov:
@@ -229,6 +240,11 @@ class TestLyapunov:
         with pytest.raises(SolverError, match="Lyapunov residual nan"):
             solve_discrete_lyapunov(np.diag([0.5, 0.5]), np.eye(2))
 
+    def test_dimension_mismatch_rejected(self):
+        with pytest.raises(ValueError, match=r"^dimension mismatch: "
+                           r"A \(2, 2\), W \(3, 3\)$"):
+            solve_discrete_lyapunov(np.diag([0.5, 0.5]), np.eye(3))
+
     def test_asymmetric_w_rejected(self):
         with pytest.raises(ValueError):
             solve_discrete_lyapunov(
@@ -246,6 +262,31 @@ class TestRiccati:
         Cbar = C_EX @ P @ A_EX.T + D_EX @ B_EX.T
         Lambda0 = C_EX @ P @ C_EX.T + D_EX @ D_EX.T
         return Cbar, Lambda0
+
+    def test_asymmetric_lambda0_rejected(self):
+        with pytest.raises(ValueError, match=r"^Lambda0 must be symmetric$"):
+            solve_innovation_riccati(np.diag([0.5, 0.5]), np.eye(2),
+                                     np.eye(2), np.array([[1.0, 0.5],
+                                                          [0.0, 1.0]]))
+
+    def test_non_finite_cbar_is_convergence_error(self):
+        # scipy's solver rejects the non-finite input
+        with pytest.raises(ConvergenceError,
+                           match=r"^Riccati solver failed: "):
+            solve_innovation_riccati([[0.5]], [[1.0]], [[np.nan]], [[1.0]])
+
+    # (Cbar, Lambda0) of a scalar system with A = 0.5, C = 1 that no
+    # stationary process has: the Riccati equation's stabilizing solution
+    # leaves Delta indefinite, or the fixed point fails its residual gate
+    def test_indefinite_delta_rejected(self):
+        with pytest.raises(IndefiniteCovarianceError,
+                           match=r"^Delta is not positive definite$"):
+            solve_innovation_riccati([[0.5]], [[1.0]], [[-1.0]], [[0.1]])
+
+    def test_inconsistent_spectrum_fails_residual_gate(self):
+        with pytest.raises(SolverError,
+                           match=r"^Riccati residual \S+ too large$"):
+            solve_innovation_riccati([[0.5]], [[1.0]], [[1.0]], [[1.0]])
 
     def test_example_gain_and_covariance(self):
         Cbar, Lambda0 = self._chain()

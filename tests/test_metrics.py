@@ -21,6 +21,10 @@ class TestMse:
         with pytest.raises(ValueError):
             mse(np.zeros((3, 1)), np.zeros((4, 1)))
 
+    def test_no_samples_rejected(self):
+        with pytest.raises(ValueError, match=r"^need at least one sample$"):
+            mse(np.zeros((0, 2)), np.zeros((0, 2)))
+
 
 class TestVaf:
     def test_perfect_prediction(self):

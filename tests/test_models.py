@@ -89,6 +89,13 @@ class TestConstructors:
         with pytest.raises(ValidationError):
             Trajectory(y=np.zeros((5, 1)), w=np.zeros((4, 1)))
 
+    @pytest.mark.parametrize("name", ["x", "e"])
+    def test_trajectory_state_or_noise_count_mismatch(self, name):
+        with pytest.raises(ValidationError,
+                           match=rf"^{name} sample count mismatch$"):
+            Trajectory(y=np.zeros((5, 1)), w=np.zeros((5, 1)),
+                       **{name: np.zeros((4, 2))})
+
     def test_estimator_dims(self):
         e = EstimatorModel(
             Atil=np.eye(2) * 0.5, Ktil=np.zeros((2, 3)),
@@ -132,6 +139,17 @@ class TestValidate:
         assert validate(est).violations == [
             "spectral radius of Atil is 1.1 >= 1"]
         assert validate(make_empty_estimator()).ok
+
+    def test_asymmetric_q_reported(self):
+        m = make_innovation()
+        m.Q = np.array([[1.0, 0.5], [0.0, 1.0]])
+        assert validate(m).violations == [
+            "Q not positive definite (asymmetric: 0.707107)"]
+
+    def test_unknown_type_rejected(self):
+        with pytest.raises(TypeError,
+                           match=r"^cannot validate object of type str$"):
+            validate("model")
 
     def test_report_is_truthy_boolean(self):
         assert bool(validate(make_innovation())) is True
@@ -194,6 +212,32 @@ class TestJson:
         for model in (make_triangular_blocks(0, 2), make_empty_estimator()):
             save_model(model, path)
             assert model_to_dict(load_model(path)) == model_to_dict(model)
+
+    def test_trajectory_has_no_kind(self):
+        with pytest.raises(TypeError, match=r"^no JSON kind for Trajectory$"):
+            model_to_dict(Trajectory(y=np.zeros((2, 1)), w=np.zeros((2, 1))))
+
+    def test_non_object_document_rejected(self):
+        with pytest.raises(ModelFormatError,
+                           match=r"^model document must be a JSON object$"):
+            model_from_dict([])
+
+    @pytest.mark.parametrize("field, value", [("n", "two"),
+                                              ("A", [[1.0], "x"])])
+    def test_malformed_value_rejected(self, field, value):
+        doc = model_to_dict(make_innovation())
+        doc[field] = value
+        with pytest.raises(ModelFormatError,
+                           match=r"^malformed model document: "):
+            model_from_dict(doc)
+
+    @pytest.mark.parametrize("value", [0.5, [[[0.5]]]])
+    def test_matrix_not_rows_rejected(self, value):
+        doc = model_to_dict(make_innovation())
+        doc["A"] = value
+        with pytest.raises(ModelFormatError, match=r"^matrix 'A' must be an "
+                           r"array of row arrays$"):
+            model_from_dict(doc)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ModelFormatError):

@@ -17,7 +17,8 @@ from ffest import (
 )
 from ffest.cli import (_GOLDEN_CHAIN, _GOLDEN_TRIANGULAR,
                        example_triangular_model)
-from ffest.errors import FeedbackViolationError, IndefiniteCovarianceError
+from ffest.errors import (FeedbackViolationError, IndefiniteCovarianceError,
+                          ValidationError)
 
 
 def covariance_sequence(A, Pstate, C, Lambda0, Cbar, lags):
@@ -108,6 +109,11 @@ class TestObservabilityMatrix:
         O = observability_matrix(0.5 * np.eye(2), np.zeros((1, 2)))
         assert np.allclose(O, 0.0)
         assert np.linalg.matrix_rank(O) == 0
+
+    def test_column_mismatch_rejected(self):
+        with pytest.raises(ValidationError,
+                           match=r"^Cw has 3 columns, A is 2x2$"):
+            observability_matrix(np.eye(2), np.ones((1, 3)))
 
 
 class TestCheckFeedbackFree:

@@ -235,6 +235,11 @@ class TestSimulate:
         with pytest.raises(IndefiniteCovarianceError, match="indefinite"):
             simulate(m, SimConfig(N=10, seed=0))
 
+    def test_estimator_cannot_be_simulated(self, example_estimator):
+        with pytest.raises(TypeError,
+                           match=r"^cannot simulate EstimatorModel$"):
+            simulate(example_estimator, SimConfig(N=10, seed=0))
+
     def test_driven_model_form(self, example_system):
         traj = simulate(example_system, SimConfig(N=100, seed=1))
         assert traj.y.shape == (100, 1)

@@ -743,6 +743,13 @@ class TestDeadEntries:
 
 
 class TestIdentify:
+    @pytest.mark.parametrize("counts", [{"restarts": -3}, {"maxiter": 0},
+                                        {"maxiter": -5}])
+    def test_bad_counts_rejected(self, counts):
+        with pytest.raises(ValidationError, match=r"^restarts must be at "
+                           r"least 0 and maxiter at least 1, got "):
+            OptimizerConfig(**counts)
+
     def test_scalar_recovery(self):
         from ffest.cli import example_triangular_model
 
@@ -1072,6 +1079,46 @@ class TestBenchmark:
         for row in result.rows[1:]:
             assert row.error == "stub training failure"
             assert np.isnan(row.validation_mse)
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_bad_worker_count_rejected(self, workers):
+        with pytest.raises(ValidationError, match=rf"^workers must be at "
+                           rf"least 1, got {workers}$"):
+            benchmark(random_benchmark_system(), M=1, workers=workers)
+
+    @pytest.mark.parametrize("M, workers, started", [
+        (1, 8, []),  # one repetition runs in-process
+        (3, 8, [3]),
+        (3, 2, [2]),
+    ])
+    def test_pool_is_bounded_by_repetitions(self, monkeypatch, M, workers,
+                                            started):
+        # a stub pool records its size and maps in-process
+        import concurrent.futures
+
+        sizes = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        system = random_benchmark_system(n=2, p1=1, p2=1, p=1, q=1)
+        result = benchmark(system, cases=("pred_partial",), Ns=(80,), M=M,
+                           opt=OptimizerConfig(restarts=0, maxiter=2),
+                           N_val=100, workers=workers)
+        assert sizes == started
+        assert [r.rep for r in result.rows] == [
+            rep for rep in range(M) for _ in range(2)]
 
     def test_worker_count_invariant(self):
         system = random_benchmark_system()
