@@ -12,18 +12,21 @@ Conventions that differ from the usual library defaults:
 * The Riccati solver takes the stabilizing solution of the dual discrete
   algebraic Riccati equation from scipy's generalized Schur method
   (Arnold & Laub, Proc. IEEE 72(12), 1984); nothing is iterated.
+* A non-finite input raises ``ValidationError`` before any LAPACK call.
+
+``scipy.linalg`` loads on the first Lyapunov or Riccati solve.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     ConvergenceError,
     IndefiniteCovarianceError,
     SolverError,
     StabilityError,
+    ValidationError,
 )
 
 __all__ = [
@@ -48,9 +51,15 @@ class SvdResult:
     V: np.ndarray
 
 
+def _check_finite(name, a):
+    if not np.isfinite(a).all():
+        raise ValidationError(f"{name} contains non-finite entries")
+
+
 def svd(M):
     """Singular value decomposition with ascending values and fixed signs."""
     M = np.asarray(M, dtype=float)
+    _check_finite("M", M)
     try:
         U, S, Vt = np.linalg.svd(M, full_matrices=True)
     except np.linalg.LinAlgError as exc:
@@ -81,6 +90,7 @@ def spectral_radius(A):
     A = np.asarray(A, dtype=float)
     if A.ndim < 2 or A.shape[-2] != A.shape[-1]:
         raise ValueError(f"spectral radius needs a square matrix, got {A.shape}")
+    _check_finite("A", A)
     if A.shape[-1] == 0:
         rho = np.zeros(A.shape[:-2])
     else:
@@ -109,6 +119,8 @@ def solve_discrete_lyapunov(A, W):
     n = A.shape[0]
     if A.shape != (n, n) or W.shape != (n, n):
         raise ValueError(f"dimension mismatch: A {A.shape}, W {W.shape}")
+    _check_finite("A", A)
+    _check_finite("W", W)
     scale = 1.0 + np.linalg.norm(W)
     if not np.linalg.norm(W - W.T) <= 1e-10 * scale:
         raise ValueError("W must be symmetric")
@@ -116,6 +128,7 @@ def solve_discrete_lyapunov(A, W):
         raise IndefiniteCovarianceError("W must be positive semidefinite")
     _require_stable(A)
 
+    import scipy.linalg
     try:
         P = scipy.linalg.solve_discrete_lyapunov(
             A, W, method="direct" if n <= 10 else "bilinear")
@@ -147,6 +160,8 @@ def solve_innovation_riccati(A, C, Cbar, Lambda0):
     Cbar = np.asarray(Cbar, dtype=float)
     Lambda0 = np.asarray(Lambda0, dtype=float)
     n = A.shape[0]
+    for name, a in (("A", A), ("C", C), ("Cbar", Cbar), ("Lambda0", Lambda0)):
+        _check_finite(name, a)
     if not (np.linalg.norm(Lambda0 - Lambda0.T)
             <= 1e-10 * (1 + np.linalg.norm(Lambda0))):
         raise ValueError("Lambda0 must be symmetric")
@@ -156,6 +171,7 @@ def solve_innovation_riccati(A, C, Cbar, Lambda0):
 
     Pi = np.zeros((n, n))
     if n:  # LAPACK's QZ rejects an empty pencil
+        import scipy.linalg
         try:
             Pi = -scipy.linalg.solve_discrete_are(
                 A.T, C.T, np.zeros((n, n)), Lambda0, s=Cbar.T)

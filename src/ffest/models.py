@@ -20,7 +20,7 @@ from functools import cache
 import numpy as np
 
 from .errors import ModelFormatError, ValidationError
-from .matkernel import spectral_radius
+from .matkernel import _check_finite, spectral_radius
 
 __all__ = [
     "StateSpaceModel",
@@ -44,11 +44,6 @@ def _arr(x):
     if a.ndim != 2:
         a = np.atleast_2d(a) if a.size else a.reshape(0, 0)
     return a
-
-
-def _check_finite(name, a):
-    if not np.isfinite(a).all():
-        raise ValidationError(f"{name} contains non-finite entries")
 
 
 @cache

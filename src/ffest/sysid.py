@@ -762,7 +762,9 @@ def benchmark(system: TriangularJointModel, cases=CASES, Ns=(150, 1000),
         from concurrent.futures import ProcessPoolExecutor
 
         # load the filter kernel and the optimizer before the pool starts,
-        # so that forked workers inherit them instead of each importing both
+        # so that forked workers inherit them instead of each importing
+        # both; scipy.optimize loads scipy.linalg, whose Lyapunov solver
+        # the stationary start of each simulated record needs
         import scipy.optimize  # noqa: F401
         _linear_filter()
         with ProcessPoolExecutor(max_workers=workers) as pool:

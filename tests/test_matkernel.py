@@ -29,6 +29,7 @@ from ffest.errors import (
     IndefiniteCovarianceError,
     SolverError,
     StabilityError,
+    ValidationError,
 )
 
 A_EX = np.array([[1.08, -0.23], [0.58, 0.27]])
@@ -129,10 +130,19 @@ class TestSvd:
             i = int(np.argmax(np.abs(r.V[:, j])))
             assert r.V[i, j] > 0
 
-    def test_non_finite_input_is_convergence_error(self):
+    def test_non_finite_input_is_validation_error(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValidationError,
+                               match=r"^M contains non-finite entries$"):
+                svd(np.full((2, 3), bad))
+
+    def test_lapack_failure_is_convergence_error(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+        monkeypatch.setattr(np.linalg, "svd", fail)
         with pytest.raises(ConvergenceError,
                            match=r"^SVD did not converge for a 2x3 matrix$"):
-            svd(np.full((2, 3), np.nan))
+            svd(np.ones((2, 3)))
 
     def test_repeat_calls_bit_identical(self):
         M = np.random.default_rng(6).standard_normal((4, 4))
@@ -153,10 +163,21 @@ class TestSpectralRadius:
         with pytest.raises(ValueError):
             spectral_radius(np.zeros((2, 3)))
 
-    def test_non_finite_input_is_convergence_error(self):
+    def test_non_finite_input_is_validation_error(self):
+        stack = np.zeros((3, 2, 2))
+        stack[1, 0, 1] = np.inf
+        for A in (np.full((2, 2), np.nan), stack):
+            with pytest.raises(ValidationError,
+                               match=r"^A contains non-finite entries$"):
+                spectral_radius(A)
+
+    def test_lapack_failure_is_convergence_error(self, monkeypatch):
+        def fail(A):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        monkeypatch.setattr(np.linalg, "eigvals", fail)
         with pytest.raises(ConvergenceError, match=r"^eigenvalue iteration "
                            r"failed for a 2x2 matrix$"):
-            spectral_radius(np.full((2, 2), np.nan))
+            spectral_radius(np.eye(2))
 
 
 class TestLyapunov:
@@ -240,6 +261,14 @@ class TestLyapunov:
         with pytest.raises(SolverError, match="Lyapunov residual nan"):
             solve_discrete_lyapunov(np.diag([0.5, 0.5]), np.eye(2))
 
+    def test_non_finite_input_is_validation_error(self):
+        for name in ("A", "W"):
+            args = {"A": np.diag([0.5, 0.5]), "W": np.eye(2)}
+            args[name][0, 1] = np.inf
+            with pytest.raises(ValidationError,
+                               match=rf"^{name} contains non-finite entries$"):
+                solve_discrete_lyapunov(**args)
+
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match=r"^dimension mismatch: "
                            r"A \(2, 2\), W \(3, 3\)$"):
@@ -269,11 +298,21 @@ class TestRiccati:
                                      np.eye(2), np.array([[1.0, 0.5],
                                                           [0.0, 1.0]]))
 
-    def test_non_finite_cbar_is_convergence_error(self):
-        # scipy's solver rejects the non-finite input
+    def test_non_finite_input_is_validation_error(self):
+        for name in ("A", "C", "Cbar", "Lambda0"):
+            args = {"A": [[0.5]], "C": [[1.0]], "Cbar": [[1.0]],
+                    "Lambda0": [[2.0]], name: [[np.nan]]}
+            with pytest.raises(ValidationError,
+                               match=rf"^{name} contains non-finite entries$"):
+                solve_innovation_riccati(**args)
+
+    def test_pencil_on_unit_circle_is_convergence_error(self):
+        # the first state enters Cbar but not C; scipy finds eigenvalues of
+        # the dual DARE's symplectic pencil too close to the unit circle
         with pytest.raises(ConvergenceError,
                            match=r"^Riccati solver failed: "):
-            solve_innovation_riccati([[0.5]], [[1.0]], [[np.nan]], [[1.0]])
+            solve_innovation_riccati(np.diag([-0.4, -0.8]), [[0.0, -1.0]],
+                                     [[-1.0, -1.0]], [[2.0]])
 
     # (Cbar, Lambda0) of a scalar system with A = 0.5, C = 1 that no
     # stationary process has: the Riccati equation's stabilizing solution

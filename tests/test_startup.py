@@ -1,6 +1,7 @@
-"""What importing ffest loads: scipy.signal and scipy.optimize wait for the
+"""What importing ffest loads: no scipy at all. scipy.linalg waits for the
+first Lyapunov or Riccati solve, scipy.signal and scipy.optimize for the
 first filter run and the first fit, and a benchmark over worker processes
-loads both before it starts them."""
+loads all three before it starts them."""
 
 import os
 import subprocess
@@ -11,16 +12,29 @@ _LOADED = r"""
 import sys
 
 def loaded():
-    return sorted(m for m in ("scipy.signal", "scipy.optimize")
+    return sorted(m for m in ("scipy.linalg", "scipy.signal", "scipy.optimize")
                   if m in sys.modules)
+
+def any_scipy():
+    return sorted(m for m in sys.modules if m.startswith("scipy"))
 """
 
 _SCRIPT = _LOADED + r"""
-import contextlib, io
+import contextlib, io, os, tempfile
 
 import ffest
-print("import", loaded())
+print("import", any_scipy())
 import ffest.cli
+print("cli", any_scipy())
+with tempfile.TemporaryDirectory() as tmp, \
+        contextlib.redirect_stdout(io.StringIO()):
+    joint = os.path.join(tmp, "joint.json")
+    ffest.save_model(ffest.assemble(ffest.random_benchmark_system()), joint)
+    codes = [ffest.cli.main(["synthesize", joint,
+                             os.path.join(tmp, "est.json")]),
+             ffest.cli.main(["simulate", joint, os.path.join(tmp, "traj.csv"),
+                             "--n", "50", "--init", "zero"])]
+print("synthesize simulate", codes, any_scipy())
 with contextlib.redirect_stdout(io.StringIO()):
     code = ffest.cli.main(["reproduce", "sec5"])
 print("sec5", code, loaded())
@@ -74,7 +88,9 @@ def run_script(script):
 def test_scipy_signal_and_optimize_load_on_first_use():
     assert run_script(_SCRIPT) == [
         "import []",
-        "sec5 0 []",
+        "cli []",
+        "synthesize simulate [0, 0] []",
+        "sec5 0 ['scipy.linalg']",
         "cached 0",
         "filter 1 True",
     ]
@@ -82,5 +98,5 @@ def test_scipy_signal_and_optimize_load_on_first_use():
 
 def test_benchmark_pool_inherits_scipy_signal_and_optimize():
     assert run_script(_POOL_SCRIPT) == [
-        "pool 2 ['scipy.optimize', 'scipy.signal'] 1",
+        "pool 2 ['scipy.linalg', 'scipy.optimize', 'scipy.signal'] 1",
     ]
