@@ -10,6 +10,8 @@ blocks as
 with output yhat = Ctil xhat + D0 w (plus sign on the direct term).
 """
 
+import os
+import sys
 from functools import cache
 
 import numpy as np
@@ -28,17 +30,33 @@ __all__ = [
 
 @cache
 def _linear_filter():
-    """The C routine ``lfilter`` ends in for a two-coefficient ``a``,
-    imported on first use, since ``scipy.signal`` costs most of the import
-    time of the package; called directly it skips lfilter's per-call
-    argument handling, with the same bits. Public ``lfilter``, which takes
-    the same positional ``(b, a, x, axis)``, stands in where scipy no
-    longer has it."""
+    """The C routine ``lfilter`` ends in for a two-coefficient ``a``; called
+    directly it skips lfilter's per-call argument handling, with the same
+    bits. Its extension module is loaded from its file on first use and
+    registered under its name, so a later ``import scipy.signal`` reuses
+    it: importing ``scipy.signal`` for it would cost most of the start-up
+    of a filter run. A module already registered is used as it is (None,
+    the import system's mark of a blocked module, counts as missing).
+    Public ``lfilter``, which takes the same positional ``(b, a, x,
+    axis)``, stands in where scipy no longer has the routine."""
+    from importlib.machinery import (EXTENSION_SUFFIXES, ExtensionFileLoader,
+                                     FileFinder)
+    from importlib.util import find_spec, module_from_spec
+
+    name = "scipy.signal._sigtools"
     try:
-        from scipy.signal._sigtools import _linear_filter as routine
-    except ImportError:
-        from scipy.signal import lfilter as routine
-    return routine
+        if name not in sys.modules:
+            scipy_dir = find_spec("scipy").submodule_search_locations[0]
+            spec = FileFinder(
+                os.path.join(scipy_dir, "signal"),
+                (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(name)
+            module = module_from_spec(spec)
+            spec.loader.exec_module(module)
+            sys.modules[name] = module
+        return sys.modules[name]._linear_filter
+    except (ImportError, AttributeError):
+        from scipy.signal import lfilter
+        return lfilter
 
 
 def compute_d0(Q12, Q22):
@@ -120,35 +138,65 @@ def _state_paths(A, B, u, x0=None):
                else _state_loop(A[j], B[j], u, x0))
 
 
+# rows per block of a long state path: its temporaries are a few blocks'
+# worth, not a few copies of the record
+_BLOCK_ROWS = 4096
+
+
+def _row_blocks(N):
+    """Slices that cut rows 0..N-1 into blocks of ``_BLOCK_ROWS`` rows, the
+    last one taking the remainder, so every block holds from B to 2B - 1
+    rows and a record of fewer than 2B rows is one block (none when N = 0).
+    No block is a single row of a longer record: a one-row matrix product
+    goes to another BLAS routine, with other last bits."""
+    if not N:
+        return []
+    ends = [*range(_BLOCK_ROWS, N - _BLOCK_ROWS + 1, _BLOCK_ROWS), N]
+    return [slice(lo, hi) for lo, hi in zip([0, *ends], ends)]
+
+
 def _modal_run(lam, W, WB, u, x0=None):
     """The run half of :func:`_state_paths` for one path: eigenvalues
     ``lam``, eigenvectors ``W`` and modal input map ``WB`` = W^-1 B. Each
     mode is ``lfilter([1], [1, -lam[i]], s[:, i])`` bit for bit: the same
-    coefficients and column go to the C filter that call ends in."""
+    coefficients and column go to the C filter that call ends in.
+
+    The rows run in blocks (:func:`_row_blocks`), each with its own modal
+    input ``u[rows] @ WB.T``, shifted one row on: a block's first input row
+    is the previous block's last one (the modal initial state for the first
+    block), and each mode's filter starts from the delay state the previous
+    block ended with, so the blocks do the arithmetic of one long call,
+    signed zeros included."""
     N, n = u.shape[0], lam.shape[0]
-    s = np.zeros((N, n), dtype=complex)
-    s[1:] = (u @ WB.T)[:-1]
+    X = np.empty((N, n))
+    head = np.zeros((1, n), dtype=complex)
     if x0 is not None and N:
-        s[0] = np.linalg.solve(W, np.asarray(x0, dtype=complex).reshape(n))
+        head[0] = np.linalg.solve(W, np.asarray(x0, dtype=complex).reshape(n))
+    delay = np.zeros((n, 1), dtype=complex)
     b, a = np.ones(1, dtype=complex), np.ones(2, dtype=complex)
     linear_filter = _linear_filter()
-    for i in range(n):
-        a[1] = -lam[i]
-        s[:, i] = linear_filter(b, a, s[:, i], -1)
-    return (s @ W.T).real
+    for rows in _row_blocks(N):
+        Bu = u[rows] @ WB.T
+        s = np.concatenate([head, Bu[:-1]])
+        for i in range(n):
+            a[1] = -lam[i]
+            s[:, i], delay[i] = linear_filter(b, a, s[:, i], -1, delay[i])
+        X[rows] = (s @ W.T).real
+        head = Bu[-1:]
+    return X
 
 
 def _state_loop(A, B, u, x0=None):
     """States x(0..N-1) of x+ = A x + B u(t) by the plain time loop; the
-    input terms B u(t) are formed up front as row-wise matvecs, which give
-    each row the bits of ``B @ u[t]``."""
+    input terms B u(t) are formed per block of rows (:func:`_row_blocks`)
+    as row-wise matvecs, which give each row the bits of ``B @ u[t]``."""
     N, n = u.shape[0], A.shape[0]
     x = np.zeros((N, n))
-    Bu = (B @ u[..., None])[..., 0]
     v = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).reshape(n)
-    for t in range(N):
-        x[t] = v
-        v = A @ v + Bu[t]
+    for rows in _row_blocks(N):
+        for t, Bu in enumerate((B @ u[rows, :, None])[..., 0], rows.start):
+            x[t] = v
+            v = A @ v + Bu
     return x
 
 

@@ -266,9 +266,8 @@ def save_trajectory(traj: Trajectory, path):
     blocks = (traj.y, traj.w, traj.x, traj.e)
     cols = _trajectory_columns(*(0 if b is None else b.shape[1]
                                  for b in blocks))
-    data = np.column_stack([np.arange(traj.N),
-                            *(b for b in blocks if b is not None)])
-    _write_csv(path, cols, data)
+    _write_csv(path, cols, np.arange(traj.N),
+               *(b for b in blocks if b is not None))
 
 
 # rows formatted per write: bounded, so the strings of one chunk stay small
@@ -276,19 +275,21 @@ def save_trajectory(traj: Trajectory, path):
 _CSV_CHUNK_ROWS = 256
 
 
-def _write_csv(path, columns, data):
-    """Write a header line of ``columns`` and one line per row of ``data``,
+def _write_csv(path, columns, *blocks):
+    """Write a header line of ``columns`` and one line per row of the
+    ``blocks`` side by side (equal-length arrays of one or more columns),
     every value with ``%.17g`` (an integral value, such as t, prints as an
-    integer): the bytes of ``np.savetxt(path, data, fmt="%.17g",
-    delimiter=",", header=",".join(columns), comments="")``. Rows are
-    formatted from ``tolist()`` in chunks of ``_CSV_CHUNK_ROWS``, not as
-    numpy scalars."""
+    integer): the bytes of ``np.savetxt(path, np.column_stack(blocks),
+    fmt="%.17g", delimiter=",", header=",".join(columns), comments="")``.
+    Rows are stacked and formatted from ``tolist()`` in chunks of
+    ``_CSV_CHUNK_ROWS``, not as numpy scalars, so no copy of the whole
+    table is made."""
     line = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(columns) + "\n")
-        for i in range(0, len(data), _CSV_CHUNK_ROWS):
-            fh.write("".join(line % tuple(row) for row in
-                             data[i:i + _CSV_CHUNK_ROWS].tolist()))
+        for i in range(0, len(blocks[0]), _CSV_CHUNK_ROWS):
+            chunk = np.column_stack([b[i:i + _CSV_CHUNK_ROWS] for b in blocks])
+            fh.write("".join(line % tuple(row) for row in chunk.tolist()))
 
 
 def load_trajectory(path) -> Trajectory:

@@ -36,9 +36,11 @@ it alone). Entries that the search cannot see, because they multiply the
 D0 = 0 of a generator case, are held at their template values.
 """
 
+import ctypes
 import warnings
 from copy import copy
 from dataclasses import dataclass, field, replace
+from importlib import import_module
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -734,6 +736,48 @@ def _benchmark_repetition(system, pars, N, ni, rep, seed, opt, N_val):
     return rows
 
 
+# the OpenBLAS builds bundled with numpy and scipy: a module linked to each,
+# and the suffix of the build's thread-count symbols
+_OPENBLAS = (("numpy._core._multiarray_umath", "64_"),
+             ("scipy.linalg._flapack", ""))
+
+
+def _openblas_threads():
+    """The (get, set) thread-count functions of each bundled OpenBLAS build
+    whose module loads and exports them; other builds are left out."""
+    found = []
+    for module, suffix in _OPENBLAS:
+        try:
+            lib = ctypes.CDLL(import_module(module).__file__)
+            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+            set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+        except (ImportError, OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        found.append((get, set_))
+    return found
+
+
+class _OneBlasThread:
+    """Context manager: every bundled OpenBLAS build at one thread inside
+    the block, each build's thread count restored after it. The
+    benchmark's products are small, and a second BLAS thread only adds
+    hand-offs: on a 2-CPU machine the M = 20 benchmark took about twice the
+    wall time at two threads as at one, with the same rows. Picklable
+    before it is entered, so its ``__enter__`` can be a pool initializer
+    under any start method."""
+
+    def __enter__(self):
+        self.saved = [(set_, get()) for get, set_ in _openblas_threads()]
+        for set_, _ in self.saved:
+            set_(1)
+
+    def __exit__(self, *exc):
+        for set_, count in self.saved:
+            set_(count)
+
+
 def benchmark(system: TriangularJointModel, cases=CASES, Ns=(150, 1000),
               M=20, seed=0, opt: OptimizerConfig | None = None, N_val=1000,
               workers=1) -> BenchmarkResult:
@@ -745,7 +789,8 @@ def benchmark(system: TriangularJointModel, cases=CASES, Ns=(150, 1000),
     Case 0 (the true optimal estimator, no training phase) is scored on
     the same validation data. ``workers`` > 1 distributes repetitions over
     up to that many processes, never more than there are repetitions;
-    results are invariant to the worker count.
+    results are invariant to the worker count. Every process runs it at
+    one BLAS thread (:class:`_OneBlasThread`).
     """
     if workers < 1:
         raise ValidationError(f"workers must be at least 1, got {workers}")
@@ -758,20 +803,24 @@ def benchmark(system: TriangularJointModel, cases=CASES, Ns=(150, 1000),
              for ni, N in enumerate(Ns) for rep in range(M)]
     # a pool starts all its processes at once: no more than there are tasks
     workers = min(workers, len(tasks))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    with _OneBlasThread():
+        if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor
 
-        # load the filter kernel and the optimizer before the pool starts,
-        # so that forked workers inherit them instead of each importing
-        # both; scipy.optimize loads scipy.linalg, whose Lyapunov solver
-        # the stationary start of each simulated record needs
-        import scipy.optimize  # noqa: F401
-        _linear_filter()
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            reps = list(pool.map(_benchmark_repetition, *zip(*tasks),
-                                 chunksize=1))
-    else:
-        reps = [_benchmark_repetition(*task) for task in tasks]
+            # load the filter kernel and the optimizer before the pool
+            # starts, so that forked workers inherit them instead of each
+            # loading both; scipy.optimize loads scipy.linalg, whose
+            # Lyapunov solver the stationary start of each simulated record
+            # needs
+            import scipy.optimize  # noqa: F401
+            _linear_filter()
+            with ProcessPoolExecutor(
+                    max_workers=workers,
+                    initializer=_OneBlasThread().__enter__) as pool:
+                reps = list(pool.map(_benchmark_repetition, *zip(*tasks),
+                                     chunksize=1))
+        else:
+            reps = [_benchmark_repetition(*task) for task in tasks]
     rows = [row for rep_rows in reps for row in rep_rows]
     all_cases = ["case0", *cases]
     return BenchmarkResult(

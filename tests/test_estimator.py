@@ -1,6 +1,7 @@
 """Estimator synthesis, causal filtering, joint one-step prediction."""
 
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from ffest import (
     joint_one_step_prediction,
     markov_parameters,
     mse,
+    random_benchmark_system,
     simulate,
     spectral_radius,
     synthesize,
@@ -24,7 +26,7 @@ from ffest import (
 from ffest.cli import _GOLDEN_ESTIMATOR, example_triangular_model
 import ffest.estimator
 from ffest.errors import FeedbackViolationError, IndefiniteCovarianceError
-from ffest.estimator import _modal_run, _state_loop
+from ffest.estimator import _modal_run, _row_blocks, _state_loop
 
 from conftest import make_triangular
 
@@ -309,6 +311,102 @@ class TestModalRun:
         except ImportError:
             pytest.skip("scipy has no scipy.signal._sigtools._linear_filter")
         assert ffest.estimator._linear_filter() is _linear_filter
+
+
+# a block length that small records span several blocks of, and the
+# record lengths that end a block exactly, one row after a block, and one
+# row short of another block (the last block takes the remainder)
+B = 7
+BLOCK_NS = [0, 1, 2 * B, 2 * B + 1, 3 * B - 1, 3 * B, 3 * B + 1, 4 * B - 1]
+
+
+class TestBlocks:
+    """A long record runs in blocks of rows, with the bits of one block."""
+
+    @pytest.mark.parametrize("N", range(6 * B))
+    def test_row_blocks_tile_the_record(self, N, monkeypatch):
+        monkeypatch.setattr(ffest.estimator, "_BLOCK_ROWS", B)
+        blocks = _row_blocks(N)
+        assert [i for b in blocks for i in range(b.start, b.stop)] == \
+            list(range(N))
+        sizes = [b.stop - b.start for b in blocks]
+        if N < 2 * B:
+            assert sizes == ([N] if N else [])
+        else:
+            assert all(B <= m < 2 * B for m in sizes)
+
+    @staticmethod
+    def one_block_and_blocks(monkeypatch, run):
+        """``run()`` at the default block length, where every record here
+        is one block, and in blocks of ``B`` rows."""
+        one = run()
+        monkeypatch.setattr(ffest.estimator, "_BLOCK_ROWS", B)
+        got = run()
+        assert got.shape == one.shape and got.tobytes() == one.tobytes()
+
+    @pytest.mark.parametrize("given", [False, True], ids=["zero", "x0"])
+    @pytest.mark.parametrize("N", BLOCK_NS)
+    @pytest.mark.parametrize("modes", sorted(MODES))
+    def test_modal_run(self, modes, N, given, monkeypatch):
+        lam = MODES[modes]
+        n, q = lam.shape[0], 2
+        rng = np.random.default_rng(N)
+        W = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        WB = rng.standard_normal((n, q)) + 1j * rng.standard_normal((n, q))
+        u = rng.standard_normal((N, q))
+        u[::3] = 0.0  # zero inputs into zero modes: signed zeros
+        x0 = rng.standard_normal(n) if given else None
+        self.one_block_and_blocks(
+            monkeypatch, lambda: _modal_run(lam, W, WB, u, x0))
+
+    @pytest.mark.parametrize("given", [False, True], ids=["zero", "x0"])
+    @pytest.mark.parametrize("N", BLOCK_NS)
+    def test_state_loop(self, N, given, monkeypatch):
+        rng = np.random.default_rng(N)
+        A = rng.standard_normal((4, 4))
+        A *= 0.9 / spectral_radius(A)
+        Bm, u = rng.standard_normal((4, 2)), rng.standard_normal((N, 2))
+        x0 = rng.standard_normal(4) if given else None
+        self.one_block_and_blocks(
+            monkeypatch, lambda: _state_loop(A, Bm, u, x0))
+
+    @pytest.mark.parametrize("given", [False, True], ids=["zero", "x0"])
+    @pytest.mark.parametrize("N", BLOCK_NS)
+    def test_filter_signal(self, N, given, monkeypatch):
+        t = random_benchmark_system()
+        e = synthesize(t)
+        w = np.random.default_rng(N).standard_normal((N, e.q))
+        x0 = np.linspace(-1.0, 1.0, e.n) if given else None
+        self.one_block_and_blocks(
+            monkeypatch, lambda: filter_signal(e, w, x0))
+
+    @pytest.mark.parametrize("given", [False, True], ids=["zero", "x0"])
+    @pytest.mark.parametrize("N", BLOCK_NS[1:])
+    def test_joint_one_step_prediction(self, N, given, monkeypatch):
+        m = assemble(random_benchmark_system())
+        traj = simulate(m, SimConfig(N=N, seed=N))
+        x0 = traj.x[0] if given else None
+        self.one_block_and_blocks(
+            monkeypatch, lambda: joint_one_step_prediction(m, traj, x0))
+
+    def test_long_run_holds_its_states(self):
+        # a long filter run allocates its N x n float states and what is
+        # N x p, but only blocks' worth of complex modal temporaries
+        N, n = 200_000, 10
+        rng = np.random.default_rng(0)
+        A = rng.standard_normal((n, n))
+        A *= 0.9 / spectral_radius(A)
+        e = EstimatorModel(Atil=A, Ktil=rng.standard_normal((n, 1)),
+                           Ctil=rng.standard_normal((1, n)), D0=[[0.5]])
+        w = rng.standard_normal((N, 1))
+        filter_signal(e, w[:10])  # the C filter loads before the count
+        tracemalloc.start()
+        try:
+            filter_signal(e, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * N * n * 8
 
 
 class TestJointOneStepPrediction:

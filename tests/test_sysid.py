@@ -1,5 +1,6 @@
 """Parameterizations, prediction-error objective, identify, benchmark."""
 
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields, replace
 
 import numpy as np
@@ -36,7 +37,7 @@ from ffest import (
 from ffest.errors import (FfestError, IdentificationError, SamplingError,
                           ValidationError)
 from ffest.metrics import mse
-from ffest.sysid import CASES
+from ffest.sysid import CASES, _OneBlasThread, _openblas_threads
 
 from conftest import count_state_paths
 
@@ -1099,7 +1100,7 @@ class TestBenchmark:
         sizes = []
 
         class Pool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer):
                 sizes.append(max_workers)
 
             def __enter__(self):
@@ -1129,3 +1130,51 @@ class TestBenchmark:
         rows = [[(r.case, r.N, r.rep, r.training_mse, r.validation_mse,
                   r.vaf.tolist(), r.error) for r in run.rows] for run in runs]
         assert rows[0] == rows[1]
+
+
+def blas_thread_counts():
+    """The thread count of each bundled OpenBLAS build, in this process."""
+    return [get() for get, _ in _openblas_threads()]
+
+
+class TestOneBlasThread:
+    @pytest.fixture
+    def two_threads(self):
+        """Both builds at two threads, whatever the environment set, and
+        their counts as found restored after the test."""
+        controls = _openblas_threads()
+        if not controls:
+            pytest.skip("numpy and scipy bundle no OpenBLAS here")
+        found = blas_thread_counts()
+        for _, set_ in controls:
+            set_(2)
+        yield len(controls)
+        for (_, set_), count in zip(controls, found):
+            set_(count)
+
+    def test_one_thread_inside_restored_after(self, two_threads):
+        with _OneBlasThread():
+            assert blas_thread_counts() == [1] * two_threads
+        assert blas_thread_counts() == [2] * two_threads
+
+    def test_restored_when_the_block_raises(self, two_threads):
+        with pytest.raises(ZeroDivisionError), _OneBlasThread():
+            1 / 0
+        assert blas_thread_counts() == [2] * two_threads
+
+    def test_pool_workers_run_at_one_thread(self, two_threads):
+        with ProcessPoolExecutor(
+                max_workers=1,
+                initializer=_OneBlasThread().__enter__) as pool:
+            assert pool.submit(blas_thread_counts).result(timeout=60) == \
+                [1] * two_threads
+
+    def test_absent_builds_are_left_alone(self, monkeypatch):
+        # a module with no symbols, a module file that is no library, a
+        # module with no file, and a module that does not load
+        monkeypatch.setattr(ffest.sysid, "_OPENBLAS", (
+            ("numpy._core._multiarray_umath", "_no_such_suffix"),
+            ("ffest.sysid", ""), ("sys", ""), ("ffest._no_such_module", "")))
+        assert _openblas_threads() == []
+        with _OneBlasThread():
+            pass
